@@ -2,9 +2,15 @@
 
 Used as a brute-force extensional oracle: objects evaluate to enumerated
 carriers, morphisms to total function tables, and two symbolic terms are
-compared by evaluating both exhaustively.  Pairing is genuinely nested,
-``Pair(Pair(a, b), c)`` and ``Pair(a, Pair(b, c))`` are different
-elements, so associators are exercised honestly rather than vanishing.
+compared by evaluating both exhaustively.
+
+Carriers are indexed in mixed radix: ``(i, j)`` in ``A * B`` has index
+``i * |B| + j``, ``I`` has size 1, and a wire sequence is indexed the
+same way over its labels.  A table holds the codomain index of each
+domain index, so composition is indexing and tensor is arithmetic.
+Rebracketing and unit insertion keep every index, so associators,
+unitors and adapters are identity index maps; their nesting lives in
+the endpoints and in the decoded ``mapping`` of nested ``Pair``s.
 
 Generator tables are drawn pseudo-randomly from the model seed, one
 reproducible table per generator name.
@@ -12,8 +18,11 @@ reproducible table per generator name.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .terms import (
     Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
@@ -22,7 +31,7 @@ from .terms import (
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, show_wires, typecheck_d,
+    show_wires, typecheck_d,
 )
 
 
@@ -54,8 +63,8 @@ UNIT_ELEM = UnitElem()
 class FinModel:
     """Carrier sizes per base object plus seeded generator tables.
 
-    Immutable after construction; carriers are memoised, so instances are
-    safe to share across tests and threads.
+    Immutable after construction; carriers and sizes are memoised, so
+    instances are safe to share across tests and threads.
     """
 
     def __init__(self, sig: Signature, sizes: dict[str, int] | None = None,
@@ -70,46 +79,72 @@ class FinModel:
                     raise TermError(f"carrier of {name!r} must be nonempty")
                 self.sizes[name] = n
         self.seed = seed
-        self._carriers: dict[ObjC, tuple[Element, ...]] = {}
+        self._carriers, self._sizes = {}, {}
+        self._tables: dict[str, tuple[tuple[int, ...], int]] = {}
         self.gen_tables: dict[str, dict[Element, Element]] = {}
         for name in sorted(sig.generators):
             dom, cod = sig.generators[name]
-            rng = random.Random(f"{seed}/{name}")
-            cod_carrier = self.carrier(cod)
-            self.gen_tables[name] = {
-                x: rng.choice(cod_carrier) for x in self.carrier(dom)}
+            # ``choice`` uses only ``len``, so these are the carrier's draws
+            rng, image = random.Random(f"{seed}/{name}"), range(self.size(cod))
+            table = tuple(rng.choice(image) for _ in range(self.size(dom)))
+            self._tables[name] = table, len(image)
+            self.gen_tables[name] = FuncTable(dom, cod, table, self).mapping
 
-    def carrier(self, a: ObjC) -> tuple[Element, ...]:
+    def carrier(self, a) -> tuple:
+        """Elements of an object, or element tuples of a wire sequence,
+        in mixed-radix index order."""
         cached = self._carriers.get(a)
         if cached is not None:
             return cached
-        if isinstance(a, Unit):
-            out: tuple[Element, ...] = (UNIT_ELEM,)
+        if isinstance(a, tuple):
+            out = tuple(itertools.product(*map(self.carrier, a)))
+        elif isinstance(a, Unit):
+            out = (UNIT_ELEM,)
         elif isinstance(a, Base):
             if a.name not in self.sizes:
                 raise TermError(f"no carrier for base {a.name!r}")
             out = tuple(Atom(i) for i in range(self.sizes[a.name]))
         elif isinstance(a, Tensor):
-            out = tuple(Pair(x, y)
-                        for x in self.carrier(a.left)
-                        for y in self.carrier(a.right))
+            halves = map(self.carrier, (a.left, a.right))
+            out = tuple(Pair(x, y) for x, y in itertools.product(*halves))
         else:
             raise TypeError(a)
         self._carriers[a] = out
         return out
+
+    def size(self, a) -> int:
+        """Number of elements of an object or of a wire sequence."""
+        n = self._sizes.get(a)
+        if n is None:
+            if isinstance(a, tuple):
+                n = math.prod(map(self.size, a))
+            elif isinstance(a, Tensor):
+                n = self.size(a.left) * self.size(a.right)
+            else:
+                n = len(self.carrier(a))
+            self._sizes[a] = n
+        return n
 
 
 @dataclass
 class FuncTable:
     """A total function between enumerated carriers.
 
-    ``dom``/``cod`` are objects (for tables over the base category) or
-    wire sequences (for tables over the strict one); keys and values are
-    elements or tuples of elements accordingly.
+    ``dom``/``cod`` are objects (base category) or wire sequences (strict
+    category).  ``table[i]`` is the codomain index of domain index ``i``;
+    ``mapping`` decodes it on first use into a dict keyed by elements, or
+    by tuples of elements over wire sequences.
     """
     dom: object
     cod: object
-    mapping: dict
+    table: tuple[int, ...]
+    model: FinModel = field(repr=False)
+
+    @cached_property
+    def mapping(self) -> dict:
+        image = self.model.carrier(self.cod)
+        return dict(zip(self.model.carrier(self.dom),
+                        [image[j] for j in self.table]))
 
 
 def eval_obj(a: ObjC, model: FinModel) -> tuple[Element, ...]:
@@ -118,88 +153,53 @@ def eval_obj(a: ObjC, model: FinModel) -> tuple[Element, ...]:
 
 def eval_mor(f: MorC, model: FinModel) -> FuncTable:
     dom, cod = typecheck_c(f, model.sig)
-
-    if isinstance(f, Id):
-        mapping = {x: x for x in model.carrier(f.obj)}
-    elif isinstance(f, Gen):
-        mapping = dict(model.gen_tables[f.name])
-    elif isinstance(f, Comp):
-        t1 = eval_mor(f.first, model)
-        t2 = eval_mor(f.second, model)
-        mapping = {x: t2.mapping[y] for x, y in t1.mapping.items()}
-    elif isinstance(f, TensorM):
-        t1 = eval_mor(f.left, model)
-        t2 = eval_mor(f.right, model)
-        mapping = {Pair(x, y): Pair(t1.mapping[x], t2.mapping[y])
-                   for x in t1.mapping for y in t2.mapping}
-    elif isinstance(f, Assoc):
-        mapping = {Pair(x, Pair(y, z)): Pair(Pair(x, y), z)
-                   for x in model.carrier(f.a)
-                   for y in model.carrier(f.b)
-                   for z in model.carrier(f.c)}
-    elif isinstance(f, AssocInv):
-        mapping = {Pair(Pair(x, y), z): Pair(x, Pair(y, z))
-                   for x in model.carrier(f.a)
-                   for y in model.carrier(f.b)
-                   for z in model.carrier(f.c)}
-    elif isinstance(f, UnitL):
-        mapping = {Pair(UNIT_ELEM, x): x for x in model.carrier(f.obj)}
-    elif isinstance(f, UnitLInv):
-        mapping = {x: Pair(UNIT_ELEM, x) for x in model.carrier(f.obj)}
-    elif isinstance(f, UnitR):
-        mapping = {Pair(x, UNIT_ELEM): x for x in model.carrier(f.obj)}
-    elif isinstance(f, UnitRInv):
-        mapping = {x: Pair(x, UNIT_ELEM) for x in model.carrier(f.obj)}
-    else:
-        raise TypeError(f)
-    return FuncTable(dom, cod, mapping)
-
-
-def _wire_carrier(w: Wires, model: FinModel) -> list[tuple[Element, ...]]:
-    out: list[tuple[Element, ...]] = [()]
-    for label in w:
-        out = [xs + (x,) for xs in out for x in model.carrier(label)]
-    return out
+    return FuncTable(dom, cod, _eval(f, model)[0], model)
 
 
 def eval_mor_d(t: MorD, model: FinModel) -> FuncTable:
     dom, cod = typecheck_d(t, model.sig)
+    return FuncTable(dom, cod, _eval(t, model)[0], model)
 
-    if isinstance(t, IdD):
-        mapping = {xs: xs for xs in _wire_carrier(t.wires, model)}
-    elif isinstance(t, Lift):
-        inner = eval_mor(t.mor, model)
-        mapping = {(x,): (y,) for x, y in inner.mapping.items()}
-    elif isinstance(t, Pack):
-        mapping = {(x, y): (Pair(x, y),)
-                   for x in model.carrier(t.left)
-                   for y in model.carrier(t.right)}
-    elif isinstance(t, Unpack):
-        mapping = {(Pair(x, y),): (x, y)
-                   for x in model.carrier(t.left)
-                   for y in model.carrier(t.right)}
-    elif isinstance(t, UnitIntro):
-        mapping = {(): (UNIT_ELEM,)}
-    elif isinstance(t, UnitElim):
-        mapping = {(UNIT_ELEM,): ()}
-    elif isinstance(t, CompD):
-        t1 = eval_mor_d(t.first, model)
-        t2 = eval_mor_d(t.second, model)
-        mapping = {xs: t2.mapping[ys] for xs, ys in t1.mapping.items()}
-    elif isinstance(t, TensorD):
-        t1 = eval_mor_d(t.left, model)
-        t2 = eval_mor_d(t.right, model)
-        mapping = {xs + ys: t1.mapping[xs] + t2.mapping[ys]
-                   for xs in t1.mapping for ys in t2.mapping}
+
+def _eval(t, model: FinModel) -> tuple[tuple[int, ...], int]:
+    """``(table, |cod|)`` of a well-typed term of either category."""
+    if isinstance(t, (Comp, CompD)):
+        first, _ = _eval(t.first, model)
+        second, m = _eval(t.second, model)
+        return tuple([second[i] for i in first]), m
+    if isinstance(t, (TensorM, TensorD)):
+        left, m1 = _eval(t.left, model)
+        right, m2 = _eval(t.right, model)
+        return tuple([a * m2 + b for a in left for b in right]), m1 * m2
+    if isinstance(t, Gen):
+        return model._tables[t.name]
+    if isinstance(t, Lift):
+        return _eval(t.mor, model)
+    # every other node is structural: the identity on its domain
+    if isinstance(t, (Id, UnitL, UnitLInv, UnitR, UnitRInv)):
+        n = model.size(t.obj)
+    elif isinstance(t, (Assoc, AssocInv)):
+        n = model.size((t.a, t.b, t.c))
+    elif isinstance(t, (Pack, Unpack)):
+        n = model.size((t.left, t.right))
+    elif isinstance(t, IdD):
+        n = model.size(t.wires)
+    elif isinstance(t, (UnitIntro, UnitElim)):
+        n = 1
     else:
         raise TypeError(t)
-    return FuncTable(dom, cod, mapping)
+    return tuple(range(n)), n
 
 
 def extensional_equal(x: FuncTable, y: FuncTable) -> bool:
-    """Pointwise comparison over the full enumerated domain."""
+    """Pointwise comparison over the full enumerated domain.  Indices
+    decide only over one codomain and one set of carrier sizes:
+    ``Assoc(W, W, W)`` and ``Id(W * (W * W))`` share the identity table.
+    """
     if x.dom != y.dom:
         raise DomainMismatch(f"{_show_end(x.dom)} vs {_show_end(y.dom)}")
+    if x.cod == y.cod and x.model.sizes == y.model.sizes:
+        return x.table == y.table
     return x.mapping == y.mapping
 
 

@@ -15,7 +15,8 @@ from .terms import (
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, canonical_d, chain_d, make_slice, slice_term, typecheck_d,
+    Wires, canonical_d, chain_d, flatten_wires, make_slice, slice_term,
+    typecheck_d,
 )
 
 
@@ -185,25 +186,9 @@ def random_singleton_adapter_term(sig: Signature, start_label: ObjC,
     walk = random_adapter_walk(sig, (start_label,), steps, rng,
                                structural_lifts=structural_lifts)
     _, cod = typecheck_d(walk, sig)
-    target = random_bracketing(flatten_wires_labels(cod), rng)
+    target = random_bracketing([Base(n) for n in flatten_wires(cod)], rng)
     closing = canonical_d(cod, (target,))
     return CompD(walk, closing)
-
-
-def flatten_wires_labels(w: Wires) -> list[ObjC]:
-    """Base-object leaves of a wire sequence, in order, as objects."""
-    out: list[ObjC] = []
-    for label in w:
-        out.extend(_leaves(label))
-    return out
-
-
-def _leaves(a: ObjC) -> list[ObjC]:
-    if isinstance(a, Base):
-        return [a]
-    if isinstance(a, Tensor):
-        return _leaves(a.left) + _leaves(a.right)
-    return []
 
 
 def random_bracketing(leaves: list[ObjC], seed=0,

@@ -1,16 +1,20 @@
+import random
+
 import pytest
 
 from strictcat.terms import (
     UNIT, Assoc, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitR, chain_c,
 )
-from strictcat.strict import Pack, UnitElim, UnitIntro, canonical_d
+from strictcat.strict import (
+    Lift, Pack, TensorD, UnitElim, UnitIntro, canonical_d,
+)
 from strictcat.finmodel import (
     Atom, DomainMismatch, FinModel, Pair, UNIT_ELEM, eval_mor, eval_mor_d,
     eval_obj, extensional_equal,
 )
 from strictcat.generate import random_structural_walk
 
-from conftest import W
+from conftest import W, X, Y
 
 
 def test_eval_obj_unit(catw_model):
@@ -120,3 +124,46 @@ def test_generator_tables_are_reproducible(demo_sig):
     m3 = FinModel(demo_sig, seed=43)
     assert m1.gen_tables == m2.gen_tables
     assert m1.gen_tables != m3.gen_tables
+
+
+def test_tensor_index_uses_right_codomain_size(demo_sig):
+    # f: x -> y grows, h: x*y -> z shrinks to one element; with f on the
+    # left a radix taken from h's domain would run past the codomain
+    model = FinModel(demo_sig, {"x": 2, "y": 3, "z": 1})
+    tf, th = model.gen_tables["f"], model.gen_tables["h"]
+    table = eval_mor(TensorM(Gen("f"), Gen("h")), model)
+    assert table.mapping == {Pair(a, b): Pair(tf[a], th[b])
+                             for a in tf for b in th}
+    strict = eval_mor_d(TensorD(Lift(Gen("f")), Lift(Gen("h"))), model)
+    assert strict.mapping == {(a, b): (tf[a], th[b])
+                              for a in tf for b in th}
+    assert strict.table == table.table
+
+
+def test_extensional_equal_sees_codomain_nesting(catw_model):
+    assoc = eval_mor(Assoc(W, W, W), catw_model)
+    ident = eval_mor(Id(Tensor(W, Tensor(W, W))), catw_model)
+    assert assoc.table == ident.table == tuple(range(8))
+    assert not extensional_equal(assoc, ident)
+
+
+def test_extensional_equal_sees_carrier_sizes(demo_sig):
+    # x*y has six elements under both models, but not the same six
+    xy = Tensor(X, Y)
+    two_three = eval_mor(Id(xy), FinModel(demo_sig, {"x": 2, "y": 3}))
+    three_two = eval_mor(Id(xy), FinModel(demo_sig, {"x": 3, "y": 2}))
+    assert two_three.table == three_two.table
+    assert not extensional_equal(two_three, three_two)
+
+
+def test_generator_tables_match_carrier_draws(demo_sig):
+    seed = 42
+    model = FinModel(demo_sig, {"x": 2, "y": 3, "z": 1}, seed=seed)
+    expected = {}
+    for name in sorted(demo_sig.generators):
+        dom, cod = demo_sig.generators[name]
+        rng = random.Random(f"{seed}/{name}")
+        cod_carrier = eval_obj(cod, model)
+        expected[name] = {x: rng.choice(cod_carrier)
+                          for x in eval_obj(dom, model)}
+    assert model.gen_tables == expected

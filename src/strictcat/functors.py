@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    UNIT, Assoc, AssocInv, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
+    UNIT, Assoc, AssocInv, Comp, Id, MorC, ObjC, Signature, Tensor,
     TensorM, UnitL, UnitLInv, UnitR, UnitRInv, chain_c, typecheck_c,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, _expand_structural_lift, _map_lifts, seq_normal_form,
+    Wires, _expand, seq_normal_form,
 )
 
 
@@ -41,20 +41,7 @@ def strictify_shallow(f: MorC, sig: Signature) -> MorD:
 def strictify_expand(f: MorC, sig: Signature) -> MorD:
     """Strictify ``f`` leaving lifts only around signature generators."""
     typecheck_c(f, sig)
-
-    def go(t: MorC) -> MorD:
-        if isinstance(t, Id):
-            return IdD((t.obj,))
-        if isinstance(t, Gen):
-            return Lift(t)
-        if isinstance(t, Comp):
-            return CompD(go(t.first), go(t.second))
-        out = _expand_structural_lift(t, sig)
-        if isinstance(out, Lift):
-            return out
-        return _map_lifts(out, go)
-
-    return go(f)
+    return _expand(f, sig)
 
 
 # ---------------------------------------------------------------------------

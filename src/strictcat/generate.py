@@ -11,7 +11,8 @@ import random
 
 from .terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature,
-    Tensor, TensorM, UnitL, UnitLInv, UnitR, UnitRInv, Unit, typecheck_c,
+    Tensor, TensorM, UnitL, UnitLInv, UnitR, UnitRInv, Unit, flatten,
+    typecheck_c,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
@@ -53,14 +54,7 @@ def random_mor_from(sig: Signature, dom: ObjC, depth: int,
     def leaves(a: ObjC) -> list[MorC]:
         out: list[MorC] = [Id(a), UnitLInv(a), UnitRInv(a)]
         if isinstance(a, Tensor):
-            if isinstance(a.right, Tensor):
-                out.append(Assoc(a.left, a.right.left, a.right.right))
-            if isinstance(a.left, Tensor):
-                out.append(AssocInv(a.left.left, a.left.right, a.right))
-            if isinstance(a.left, Unit):
-                out.append(UnitL(a.right))
-            if isinstance(a.right, Unit):
-                out.append(UnitR(a.left))
+            out += _root_moves(a)
         if not structural_only:
             for name in sorted(sig.generators):
                 if sig.generators[name][0] == a:
@@ -88,44 +82,54 @@ def random_mor_from(sig: Signature, dom: ObjC, depth: int,
 def random_structural_walk(a: ObjC, steps: int, seed=0) -> MorC:
     """Composite of single structural moves applied at random positions."""
     rng = _rng(seed)
-
-    def moves(x: ObjC) -> list[MorC]:
-        out: list[MorC] = []
-        if isinstance(x, Tensor):
-            if isinstance(x.right, Tensor):
-                out.append(Assoc(x.left, x.right.left, x.right.right))
-            if isinstance(x.left, Tensor):
-                out.append(AssocInv(x.left.left, x.left.right, x.right))
-            if isinstance(x.left, Unit):
-                out.append(UnitL(x.right))
-            if isinstance(x.right, Unit):
-                out.append(UnitR(x.left))
-            out += [TensorM(m, Id(x.right)) for m in moves(x.left)]
-            out += [TensorM(Id(x.left), m) for m in moves(x.right)]
-        out += [UnitLInv(x), UnitRInv(x)]
-        return out
-
-    def cod_of(x: ObjC, m: MorC) -> ObjC:
-        # cheap local typing; every move is built to apply at x
-        sig = Signature(frozenset(n for n in _base_names(x)))
-        return typecheck_c(m, sig)[1]
-
+    sig = Signature(frozenset(flatten(a)))  # moves only add units
     term: MorC | None = None
     current = a
     for _ in range(steps):
-        options = moves(current)
-        move = rng.choice(options)
-        current = cod_of(current, move)
+        move = _nth_move(current, rng.choice(range(_move_count(current))))
+        current = typecheck_c(move, sig)[1]
         term = move if term is None else Comp(term, move)
     return term if term is not None else Id(a)
 
 
-def _base_names(a: ObjC) -> set[str]:
-    if isinstance(a, Base):
-        return {a.name}
-    if isinstance(a, Tensor):
-        return _base_names(a.left) | _base_names(a.right)
-    return set()
+def _root_moves(x: Tensor) -> list[MorC]:
+    """The associators and unitors that apply at the root of ``x``."""
+    out: list[MorC] = []
+    if isinstance(x.right, Tensor):
+        out.append(Assoc(x.left, x.right.left, x.right.right))
+    if isinstance(x.left, Tensor):
+        out.append(AssocInv(x.left.left, x.left.right, x.right))
+    if isinstance(x.left, Unit):
+        out.append(UnitL(x.right))
+    if isinstance(x.right, Unit):
+        out.append(UnitR(x.left))
+    return out
+
+
+def _move_count(x: ObjC) -> int:
+    if not isinstance(x, Tensor):
+        return 2
+    return (len(_root_moves(x)) + _move_count(x.left)
+            + _move_count(x.right) + 2)
+
+
+def _nth_move(x: ObjC, k: int) -> MorC:
+    """Move ``k`` at ``x``: root moves, those inside the left factor, those
+    inside the right factor, then the two unit introductions around ``x``."""
+    if isinstance(x, Tensor):
+        root = _root_moves(x)
+        if k < len(root):
+            return root[k]
+        k -= len(root)
+        n = _move_count(x.left)
+        if k < n:
+            return TensorM(_nth_move(x.left, k), Id(x.right))
+        k -= n
+        n = _move_count(x.right)
+        if k < n:
+            return TensorM(Id(x.left), _nth_move(x.right, k))
+        k -= n
+    return (UnitLInv(x), UnitRInv(x))[k]
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,22 @@ def test_json_reports_are_stable_and_reparse(sig_path):
     assert "trace" in data
 
 
+def test_json_normalize_payload_pinned(sig_path):
+    term = "pack[x,y] (*) idD[z] ; unpack[x,y] (*) idD[z]"
+    code, out = run_cli("--json", "normalize", "--sig", sig_path, term)
+    assert code == 0
+    assert json.loads(out) == {
+        "cancelled_pairs": 1,
+        "command": "normalize",
+        "input": term,
+        "output": "idD[x|y|z]",
+        "trace": [
+            "cancel pack[x,y]/unpack[x,y] at wire 0",
+            "adapter-only endpoints coincide: identity",
+        ],
+    }
+
+
 def test_json_error_payload(sig_path):
     code, out = run_cli("--json", "typecheck", "--sig", sig_path, "f ; f")
     assert code == 2

@@ -4,6 +4,7 @@ from strictcat.terms import (
     Assoc, AssocInv, Comp, Gen, Id, TensorM, UnitL, UnitLInv, UnitR,
     UnitRInv, Unit, Base, Tensor, typecheck_c,
 )
+from strictcat.syntax import show_cmor
 from strictcat.strict import typecheck_d
 from strictcat.generate import (
     enumerate_catw_objects, random_adapter_walk, random_dmor, random_mor,
@@ -65,6 +66,34 @@ def test_random_structural_walk_typechecks(catw_sig, rng):
         f = random_structural_walk(start, 5, rng)
         dom, _ = typecheck_c(f, catw_sig)
         assert dom == start
+
+
+# Seeded walks recorded from the generator that listed every candidate
+# move at each step; drawing an index and building one move must match.
+STRUCTURAL_WALKS = [
+    (Tensor(W, Tensor(Unit(), W)), 6, 11,
+     "id[W] (*) (id[I] (*) rho'[W]) ; rho'[(W * (I * (W * I)))] ; "
+     "id[W] (*) (id[I] (*) lambda'[(W * I)]) (*) id[I] ; "
+     "id[W] (*) (id[I] (*) (id[I] (*) (lambda'[W] (*) id[I]))) (*) id[I] ; "
+     "id[(W * (I * (I * ((I * W) * I))))] (*) lambda'[I] ; "
+     "id[(W * (I * (I * ((I * W) * I))))] (*) (id[I] (*) rho'[I])"),
+    (Tensor(Tensor(W, W), W), 8, 12,
+     "id[(W * W)] (*) lambda'[W] ; id[(W * W)] (*) lambda[W] ; "
+     "rho'[((W * W) * W)] ; rho'[(((W * W) * W) * I)] ; "
+     "lambda'[((((W * W) * W) * I) * I)] ; "
+     "id[I] (*) (id[W] (*) lambda'[W] (*) id[W] (*) id[I] (*) id[I]) ; "
+     "id[I] (*) (alpha[W,I,W] (*) id[W] (*) id[I] (*) id[I]) ; "
+     "id[I] (*) (rho'[(((W * I) * W) * W)] (*) id[I] (*) id[I])"),
+    (W, 5, 13,
+     "rho'[W] ; rho'[W] (*) id[I] ; id[(W * I)] (*) rho'[I] ; "
+     "id[W] (*) lambda'[I] (*) id[(I * I)] ; "
+     "id[(W * (I * I))] (*) (id[I] (*) rho'[I])"),
+]
+
+
+def test_random_structural_walk_pinned():
+    for start, steps, seed, text in STRUCTURAL_WALKS:
+        assert show_cmor(random_structural_walk(start, steps, seed)) == text
 
 
 def test_random_adapter_walk_typechecks(catw_sig, rng):

@@ -1,14 +1,18 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
     UNIT, Comp, Gen, Id, Tensor, TypeMismatch, UnitL,
 )
+from strictcat import demos
 from strictcat.strict import (
     CompD, IdD, Lift, NotInvertible, Pack, RewriteBudgetExceeded, TensorD,
     UnitElim, UnitIntro, Unpack, apply_rules, canonical_d, chain_d,
-    flatten_wires, invert_d, normalize_adapters, pack_obj, recompose,
-    seq_normal_form, typecheck_d, unpack_obj,
+    flatten_wires, invert_d, normalize_adapters,
+    normalize_adapters_with_stats, pack_obj, recompose, seq_normal_form,
+    typecheck_d, unpack_obj,
 )
 from strictcat.finmodel import eval_mor_d, extensional_equal
 from strictcat.generate import random_adapter_walk, random_dmor
@@ -56,6 +60,22 @@ def test_snf_tensor_factorisation(demo_sig):
     assert second.left == (Y,) and second.right == ()    # cod of f
     assert first.gen == Lift(Gen("f"))
     assert second.gen == Lift(Gen("g"))
+
+
+def test_snf_nested_tensor_wires(demo_sig):
+    # (f ; g) (*) (pack (*) unit+): each slice is padded by what the other
+    # factors show at that moment
+    t = TensorD(CompD(Lift(Gen("f")), Lift(Gen("g"))),
+                TensorD(Pack(X, Y), UnitIntro()))
+    nf = seq_normal_form(t, demo_sig)
+    assert nf.dom == (X, X, Y)
+    assert [(s.left, s.gen, s.right) for s in nf.slices] == [
+        ((), Lift(Gen("f")), (X, Y)),
+        ((), Lift(Gen("g")), (X, Y)),
+        ((Z,), Pack(X, Y), ()),
+        ((Z, Tensor(X, Y)), UnitIntro(), ()),
+    ]
+    assert nf.cod == (Z, Tensor(X, Y), UNIT)
 
 
 def test_snf_composition_concatenates(demo_sig):
@@ -269,6 +289,64 @@ def test_normalize_budget_is_enforced(catw_sig, rng):
     round_trip = CompD(walk, invert_d(walk))
     with pytest.raises(RewriteBudgetExceeded):
         normalize_adapters(round_trip, catw_sig, max_steps=1)
+
+
+# (cancelled_pairs, swaps, first 16 hex digits of the SHA-256 of the trace
+# joined by newlines), recorded from the normaliser that rewrote whole
+# Slice objects; the position-record normaliser must reproduce them.
+WALK_INVERSE_STATS = {
+    0: (64, 0, "e402915a1f330d75"),
+    1: (64, 0, "eb3db57ea5d5c807"),
+    2: (64, 0, "043ff2ebe34589ca"),
+    3: (64, 0, "18a60874627a5ed0"),
+    4: (64, 0, "7808fe277f3eccdc"),
+}
+LIFT_WALK_CANONICAL_STATS = {
+    0: (63, 2110, "7e34b14735eb2e4e"),
+    1: (68, 2625, "f29bd9dc808213a9"),
+    2: (62, 684, "e844d0e640e3c258"),
+    3: (71, 2549, "4a532ac9fa70c096"),
+    4: (47, 1353, "694b7ac44f4e3d92"),
+}
+
+
+def _stats_key(t, sig):
+    _, stats = normalize_adapters_with_stats(t, sig)
+    digest = hashlib.sha256("\n".join(stats.trace).encode()).hexdigest()
+    return stats.cancelled_pairs, stats.swaps, digest[:16]
+
+
+@pytest.mark.parametrize("seed", sorted(WALK_INVERSE_STATS))
+def test_normalize_walk_then_inverse_stats_pinned(catw_sig, seed):
+    walk = random_adapter_walk(catw_sig, (W, W, W), 64, seed)
+    assert _stats_key(CompD(walk, invert_d(walk)), catw_sig) == \
+        WALK_INVERSE_STATS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(LIFT_WALK_CANONICAL_STATS))
+def test_normalize_lift_walk_interchange_stats_pinned(catw_sig, seed):
+    # steering back with the canonical arrow makes the loop swap thousands
+    # of times before the pairs meet
+    walk = random_adapter_walk(catw_sig, (W, W, W), 64, seed,
+                               structural_lifts=True)
+    dom, cod = typecheck_d(walk, catw_sig)
+    assert _stats_key(CompD(walk, canonical_d(cod, dom)), catw_sig) == \
+        LIFT_WALK_CANONICAL_STATS[seed]
+
+
+def test_normalize_deep_parity_circuit():
+    # 90 nested stages used to overflow the stack at the default limit
+    t, sig = demos.parity_term(90), demos.parity_signature()
+    out = normalize_adapters(t, sig)
+    assert typecheck_d(out, sig) == typecheck_d(t, sig)
+
+
+def test_normalize_long_walk_with_lifts(catw_sig):
+    walk = random_adapter_walk(catw_sig, (W, W, W), 400, 0,
+                               structural_lifts=True)
+    dom, cod = typecheck_d(walk, catw_sig)
+    out = normalize_adapters(walk, catw_sig)
+    assert typecheck_d(out, catw_sig) == (dom, cod)
 
 
 def test_chain_left_fold():

@@ -15,7 +15,7 @@ from .terms import (
 from .strict import (
     CompD, FlatteningMismatch, IdD, Lift, MorD, NotInvertible, Pack,
     RewriteBudgetExceeded, SeqNF, Slice, TensorD, UnitElim, UnitIntro,
-    Unpack, apply_rules, canonical_d, chain_d, invert_d, normalize_adapters,
+    Unpack, canonical_d, chain_d, invert_d, normalize_adapters,
     normalize_adapters_with_stats, pack_obj, recompose, seq_normal_form,
     typecheck_d, unpack_obj,
 )

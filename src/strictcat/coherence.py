@@ -22,8 +22,8 @@ from .terms import (
     objsize, substitute, typecheck_c,
 )
 from .strict import (
-    CompD, FlatteningMismatch, Lift, MorD, TensorD, canonical_d,
-    normalize_adapters, pack_obj, typecheck_d, unpack_obj,
+    FlatteningMismatch, Lift, MorD, _records, canonical_d, normalize_adapters,
+    pack_obj, unpack_obj,
 )
 from .functors import nonstrictify, strictify_expand
 
@@ -105,22 +105,12 @@ def fg_singleton_check(f: MorD, sig: Signature) -> bool:
     For an adapter-only term between single wires, strictifying its
     nonstrictification lands back on the same normal form.
     """
-    dom, cod = typecheck_d(f, sig)
+    dom, cod, recs = _records(f, sig)
     if len(dom) != 1 or len(cod) != 1:
         raise PreconditionError("endpoints must be single wires")
-    _require_structural_lifts(f)
+    if any(isinstance(g, Lift) and not is_structural(g.mor)
+           for _, g, _, _ in recs):
+        raise PreconditionError("lifted generators are not allowed here")
     back = strictify_expand(nonstrictify(f, sig), sig)
     return normalize_adapters(back, sig) == normalize_adapters(f, sig)
 
-
-def _require_structural_lifts(t: MorD) -> None:
-    if isinstance(t, Lift):
-        if not is_structural(t.mor):
-            raise PreconditionError("lifted generators are not allowed here")
-        return
-    if isinstance(t, CompD):
-        _require_structural_lifts(t.first)
-        _require_structural_lifts(t.second)
-    elif isinstance(t, TensorD):
-        _require_structural_lifts(t.left)
-        _require_structural_lifts(t.right)

@@ -11,8 +11,6 @@ monoidal and mutually inverse up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     UNIT, Assoc, AssocInv, Comp, Id, MorC, ObjC, Signature, Tensor,
     TensorM, UnitL, UnitLInv, UnitR, UnitRInv, chain_c, typecheck_c,
@@ -21,15 +19,6 @@ from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
     Wires, _expand, seq_normal_form,
 )
-
-
-@dataclass(frozen=True)
-class FunctorReport:
-    """Diagnostic wrapper: what went in, what came out, which direction."""
-    input_term: object
-    output_term: object
-    direction: str          # "F_shallow" | "F_expand" | "G"
-    steps: tuple[str, ...] = ()
 
 
 def strictify_shallow(f: MorC, sig: Signature) -> MorD:
@@ -157,21 +146,3 @@ def epsilon(x: Wires) -> MorD:
         Unpack(head, obj_nonstrictify(rest)),
         TensorD(IdD((head,)), epsilon(rest)))
 
-
-# ---------------------------------------------------------------------------
-# Reports
-
-def strictify_report(f: MorC, sig: Signature, mode: str) -> FunctorReport:
-    if mode == "shallow":
-        out = strictify_shallow(f, sig)
-        return FunctorReport(f, out, "F_shallow", ("lift onto one wire",))
-    out = strictify_expand(f, sig)
-    return FunctorReport(
-        f, out, "F_expand",
-        (f"expanded to adapters, {len(seq_normal_form(out, sig).slices)} slices",))
-
-
-def nonstrictify_report(t: MorD, sig: Signature) -> FunctorReport:
-    nf = seq_normal_form(t, sig)
-    out = nonstrictify(t, sig)
-    return FunctorReport(t, out, "G", (f"translated {len(nf.slices)} slices",))

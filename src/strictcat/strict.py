@@ -116,25 +116,8 @@ def flatten_wires(w: Wires) -> tuple[str, ...]:
 
 def typecheck_d(t: MorD, sig: Signature) -> tuple[Wires, Wires]:
     """Return (dom, cod) wire sequences of ``t``."""
-
-    def go(u: MorD, path: str) -> tuple[Wires, Wires]:
-        if isinstance(u, IdD):
-            return u.wires, u.wires
-        if isinstance(u, CompD):
-            d1, c1 = go(u.first, path + ".first")
-            d2, c2 = go(u.second, path + ".second")
-            if c1 != d2:
-                raise TypeMismatch(
-                    path,
-                    f"{show_wires(c1)} composed against {show_wires(d2)}")
-            return d1, c2
-        if isinstance(u, TensorD):
-            d1, c1 = go(u.left, path + ".left")
-            d2, c2 = go(u.right, path + ".right")
-            return d1 + d2, c1 + c2
-        return _gen_ends(u, sig)
-
-    return go(t, "root")
+    dom, cod, _ = _records(t, sig)
+    return dom, cod
 
 
 def _gen_ends(g: MorD, sig: Signature) -> tuple[Wires, Wires]:
@@ -213,7 +196,7 @@ class SeqNF:
 
 
 def make_slice(left: Wires, gen: MorD, right: Wires, sig: Signature) -> Slice:
-    d, c = typecheck_d(gen, sig)
+    d, c = _gen_ends(gen, sig)
     return Slice(tuple(left), gen, tuple(right), d, c)
 
 
@@ -232,24 +215,29 @@ def seq_normal_form(t: MorD, sig: Signature) -> SeqNF:
 def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, list]:
     """Typecheck ``t`` and list its slices as records ``(pos, gen, gen_dom,
     gen_cod)``: ``gen`` acts on the wires from index ``pos`` on."""
-    dom, cod = typecheck_d(t, sig)
     recs: list = []
 
-    def go(u: MorD, shift: int) -> int:
-        # appends the records of ``u`` acting at ``shift``; returns |cod u|
+    def go(u: MorD, path: str, shift: int) -> tuple[Wires, Wires]:
+        # appends the records of ``u`` acting at ``shift``
         if isinstance(u, IdD):
-            return len(u.wires)
+            return u.wires, u.wires
         if isinstance(u, CompD):
-            go(u.first, shift)
-            return go(u.second, shift)
+            d1, c1 = go(u.first, path + ".first", shift)
+            d2, c2 = go(u.second, path + ".second", shift)
+            if c1 != d2:
+                raise TypeMismatch(
+                    path,
+                    f"{show_wires(c1)} composed against {show_wires(d2)}")
+            return d1, c2
         if isinstance(u, TensorD):
-            n = go(u.left, shift)
-            return n + go(u.right, shift + n)
+            d1, c1 = go(u.left, path + ".left", shift)
+            d2, c2 = go(u.right, path + ".right", shift + len(c1))
+            return d1 + d2, c1 + c2
         d, c = _gen_ends(u, sig)
         recs.append((shift, u, d, c))
-        return len(c)
+        return d, c
 
-    go(t, 0)
+    dom, cod = go(t, "root", 0)
     return dom, cod, recs
 
 
@@ -333,10 +321,6 @@ def canonical_d(a: Wires, b: Wires) -> MorD:
 # ---------------------------------------------------------------------------
 # Rewriting
 
-RULESETS = ("FUNCTORIALITY", "ADAPTER_CANCEL", "NATURALITY_SLIDE",
-            "STRUCTURAL_EXPAND")
-
-
 @dataclass
 class RewriteStats:
     cancelled_pairs: int = 0
@@ -366,30 +350,25 @@ def _map_lifts(t: MorD, fn) -> MorD:
     return t
 
 
-def _rw_functoriality(t: MorD) -> MorD:
-    def fn(f: MorC) -> MorD:
-        if isinstance(f, Id):
-            return IdD((f.obj,))
-        if isinstance(f, Comp):
-            return CompD(fn(f.first), fn(f.second))
-        return Lift(f)
-
-    return _map_lifts(t, fn)
-
-
-def _expand_structural_lift(f: MorC, sig: Signature) -> MorD:
-    """Adapter composite for one lifted structural constructor.
+def _expand(f: MorC, sig: Signature) -> MorD:
+    """Strict image of ``f`` with lifts left only around generators.
 
     Tensors unpack, act on both wires, and repack; the associator and
     unitor images are the fixed composites whose orientation is the one
     that typechecks.
     """
+    if isinstance(f, Id):
+        return IdD((f.obj,))
+    if isinstance(f, Gen):
+        return Lift(f)
+    if isinstance(f, Comp):
+        return CompD(_expand(f.first, sig), _expand(f.second, sig))
     if isinstance(f, TensorM):
         d1, c1 = typecheck_c(f.left, sig)
         d2, c2 = typecheck_c(f.right, sig)
         return chain_d(
             Unpack(d1, d2),
-            TensorD(Lift(f.left), Lift(f.right)),
+            TensorD(_expand(f.left, sig), _expand(f.right, sig)),
             Pack(c1, c2))
     if isinstance(f, Assoc):
         return chain_d(
@@ -415,30 +394,7 @@ def _expand_structural_lift(f: MorC, sig: Signature) -> MorD:
     if isinstance(f, UnitRInv):
         return CompD(TensorD(IdD((f.obj,)), UnitIntro()),
                      Pack(f.obj, UNIT))
-    return Lift(f)
-
-
-def _rw_structural_expand(t: MorD, sig: Signature) -> MorD:
-    def fn(f: MorC) -> MorD:
-        out = _expand_structural_lift(f, sig)
-        if isinstance(out, Lift):
-            return out
-        return _map_lifts(out, fn)
-
-    return _map_lifts(t, fn)
-
-
-def _expand(f: MorC, sig: Signature) -> MorD:
-    """Strict image of ``f`` with lifts left only around generators: one
-    pass of functoriality and structural expansion, tensors included."""
-    if isinstance(f, Id):
-        return IdD((f.obj,))
-    if isinstance(f, Gen):
-        return Lift(f)
-    if isinstance(f, Comp):
-        return CompD(_expand(f.first, sig), _expand(f.second, sig))
-    return _map_lifts(_expand_structural_lift(f, sig),
-                      lambda g: _expand(g, sig))
+    raise TypeError(f)
 
 
 # Each adapter type and the type of its inverse, which has the same fields.
@@ -496,85 +452,7 @@ def _gen_name(g: MorD) -> str:
         return f"unpack[{show_obj(g.left)},{show_obj(g.right)}]"
     if isinstance(g, UnitIntro):
         return "unit+"
-    if isinstance(g, UnitElim):
-        return "unit-"
-    if isinstance(g, Lift):
-        return "lift(...)"
-    return type(g).__name__
-
-
-def _slide_naturality(slices: list[Slice], sig: Signature,
-                      stats: RewriteStats) -> list[Slice]:
-    """Push lifted tensors from the packed side to the unpacked side.
-
-    ``pack ; lift(f (*) g)`` becomes ``(lift f (*) lift g) ; pack`` and
-    ``lift(f (*) g) ; unpack`` becomes ``unpack ; (lift f (*) lift g)``,
-    with a bounded number of left-to-right sweeps.
-    """
-    for _ in range(max(len(slices), 1)):
-        out: list[Slice] = []
-        i = 0
-        fired = False
-        while i < len(slices):
-            s1 = slices[i]
-            s2 = slices[i + 1] if i + 1 < len(slices) else None
-            if (s2 is not None and s1.left == s2.left
-                    and isinstance(s1.gen, Pack)
-                    and isinstance(s2.gen, Lift)
-                    and isinstance(s2.gen.mor, TensorM)):
-                f, g = s2.gen.mor.left, s2.gen.mor.right
-                df, cf = typecheck_c(f, sig)
-                dg, cg = typecheck_c(g, sig)
-                if (df, dg) == (s1.gen.left, s1.gen.right):
-                    left, right = s1.left, s1.right
-                    out.append(make_slice(left, Lift(f), (dg,) + right, sig))
-                    out.append(make_slice(left + (cf,), Lift(g), right, sig))
-                    out.append(make_slice(left, Pack(cf, cg), right, sig))
-                    stats.trace.append(f"slide lift across {_gen_name(s1.gen)}")
-                    i += 2
-                    fired = True
-                    continue
-            if (s2 is not None and s1.left == s2.left
-                    and isinstance(s1.gen, Lift)
-                    and isinstance(s1.gen.mor, TensorM)
-                    and isinstance(s2.gen, Unpack)):
-                f, g = s1.gen.mor.left, s1.gen.mor.right
-                df, cf = typecheck_c(f, sig)
-                dg, cg = typecheck_c(g, sig)
-                if (cf, cg) == (s2.gen.left, s2.gen.right):
-                    left, right = s1.left, s1.right
-                    out.append(make_slice(left, Unpack(df, dg), right, sig))
-                    out.append(make_slice(left, Lift(f), (dg,) + right, sig))
-                    out.append(make_slice(left + (cf,), Lift(g), right, sig))
-                    stats.trace.append(f"slide lift across {_gen_name(s2.gen)}")
-                    i += 2
-                    fired = True
-                    continue
-            out.append(s1)
-            i += 1
-        slices = out
-        if not fired:
-            break
-    return slices
-
-
-def apply_rules(t: MorD, sig: Signature, ruleset: str,
-                max_steps: int | None = None) -> MorD:
-    """Apply one named ruleset exhaustively; output has identical dom/cod."""
-    if ruleset not in RULESETS:
-        raise ValueError(f"unknown ruleset {ruleset!r}; expected one of {RULESETS}")
-    typecheck_d(t, sig)
-    if ruleset == "FUNCTORIALITY":
-        return _rw_functoriality(t)
-    if ruleset == "STRUCTURAL_EXPAND":
-        return _rw_structural_expand(t, sig)
-    stats = RewriteStats()
-    if ruleset == "ADAPTER_CANCEL":
-        dom, _, recs = _records(t, sig)
-        recs = _cancel_and_slide(recs, _Budget(max_steps), stats)
-        return recompose(_slices(recs, dom), dom)
-    nf = seq_normal_form(t, sig)
-    return recompose(_slide_naturality(list(nf.slices), sig, stats), nf.dom)
+    return "unit-"
 
 
 def normalize_adapters(t: MorD, sig: Signature,

@@ -19,6 +19,8 @@ frozen and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 
 class TermError(Exception):
@@ -215,9 +217,12 @@ RESERVED_NAMES = frozenset(
 @dataclass(frozen=True)
 class Signature:
     base_objects: frozenset[str]
-    generators: dict[str, tuple[ObjC, ObjC]] = field(default_factory=dict)
+    generators: Mapping[str, tuple[ObjC, ObjC]] = field(default_factory=dict)
 
     def __post_init__(self):
+        # a read-only copy, so the checks below cannot be bypassed later
+        object.__setattr__(self, "generators",
+                           MappingProxyType(dict(self.generators)))
         clashes = self.base_objects & set(self.generators)
         if clashes:
             raise TermError(f"names used as both object and generator: {sorted(clashes)}")
@@ -228,9 +233,12 @@ class Signature:
             validate_obj(dom, self)
             validate_obj(cod, self)
 
+    def __hash__(self):
+        return hash((self.base_objects, frozenset(self.generators.items())))
+
 
 def make_signature(bases, generators=None) -> Signature:
-    return Signature(frozenset(bases), dict(generators or {}))
+    return Signature(frozenset(bases), generators or {})
 
 
 def validate_obj(a: ObjC, sig: Signature) -> None:

@@ -4,7 +4,7 @@ from strictcat.terms import (
     UNIT, Assoc, Base, Comp, Gen, Id, Tensor, UnitL, UnitR, is_structural,
     objsize, typecheck_c,
 )
-from strictcat.strict import IdD, Lift, canonical_d
+from strictcat.strict import CompD, IdD, Lift, canonical_d
 from strictcat.coherence import (
     EQUAL, NOT_EQUAL, UNKNOWN, PreconditionError, canonical_nat_iso,
     equal_structural, fg_singleton_check,
@@ -178,3 +178,6 @@ def test_fg_singleton_preconditions(catw_sig, demo_sig):
         fg_singleton_check(Pack(W, W), catw_sig)  # two wires in
     with pytest.raises(PreconditionError):
         fg_singleton_check(Lift(Gen("f")), demo_sig)
+    # the endpoint check comes before the lifted-generator check
+    with pytest.raises(PreconditionError, match="endpoints must be single"):
+        fg_singleton_check(CompD(Pack(X, Y), Lift(Gen("h"))), demo_sig)

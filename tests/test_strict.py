@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
-    UNIT, Comp, Gen, Id, Tensor, TypeMismatch, UnitL,
+    UNIT, Comp, Gen, Id, Tensor, TypeMismatch,
 )
 from strictcat import demos
 from strictcat.strict import (
     CompD, IdD, Lift, NotInvertible, Pack, RewriteBudgetExceeded, TensorD,
-    UnitElim, UnitIntro, Unpack, apply_rules, canonical_d, chain_d,
+    UnitElim, UnitIntro, Unpack, canonical_d, chain_d,
     flatten_wires, invert_d, normalize_adapters,
     normalize_adapters_with_stats, pack_obj, recompose, seq_normal_form,
     typecheck_d, unpack_obj,
 )
 from strictcat.finmodel import eval_mor_d, extensional_equal
+from strictcat.functors import strictify_expand
 from strictcat.generate import random_adapter_walk, random_dmor
 
 from conftest import W, X, Y, Z
@@ -39,6 +40,11 @@ def test_typecheck_lift_delegates(demo_sig):
 def test_typecheck_rejects_mismatch(demo_sig):
     with pytest.raises(TypeMismatch):
         typecheck_d(CompD(Pack(X, Y), Pack(X, Y)), demo_sig)
+    with pytest.raises(TypeMismatch) as err:
+        typecheck_d(TensorD(IdD((X,)), CompD(Pack(X, Y), Pack(X, Y))),
+                    demo_sig)
+    assert err.value.position == "root.right"
+    assert err.value.detail == "[(x * y)] composed against [x|y]"
 
 
 # ---------------------------------------------------------------------------
@@ -104,54 +110,19 @@ def test_snf_recompose_extensionally_equal(demo_sig, demo_model):
 
 
 # ---------------------------------------------------------------------------
-# Rulesets
+# Expansion and cancellation examples
 
 def test_functoriality_examples(demo_sig):
-    assert apply_rules(Lift(Id(X)), demo_sig, "FUNCTORIALITY") == IdD((X,))
-    t = Lift(Comp(Gen("f"), Gen("g")))
-    assert apply_rules(t, demo_sig, "FUNCTORIALITY") == \
+    assert strictify_expand(Id(X), demo_sig) == IdD((X,))
+    assert strictify_expand(Comp(Gen("f"), Gen("g")), demo_sig) == \
         CompD(Lift(Gen("f")), Lift(Gen("g")))
 
 
 def test_adapter_cancel_examples(demo_sig):
     t = CompD(Pack(X, Y), Unpack(X, Y))
-    assert apply_rules(t, demo_sig, "ADAPTER_CANCEL") == IdD((X, Y))
+    assert normalize_adapters(t, demo_sig) == IdD((X, Y))
     t2 = CompD(UnitElim(), UnitIntro())
-    assert apply_rules(t2, demo_sig, "ADAPTER_CANCEL") == IdD((UNIT,))
-
-
-def test_structural_expand_unitl(demo_sig):
-    expected = CompD(Unpack(UNIT, X), TensorD(UnitElim(), IdD((X,))))
-    assert apply_rules(Lift(UnitL(X)), demo_sig, "STRUCTURAL_EXPAND") == expected
-
-
-def test_rulesets_preserve_types_and_semantics(demo_sig, demo_model):
-    for seed in range(40):
-        t = random_dmor(demo_sig, 3, seed)
-        ends = typecheck_d(t, demo_sig)
-        for ruleset in ("FUNCTORIALITY", "ADAPTER_CANCEL",
-                        "NATURALITY_SLIDE", "STRUCTURAL_EXPAND"):
-            out = apply_rules(t, demo_sig, ruleset)
-            assert typecheck_d(out, demo_sig) == ends
-            assert extensional_equal(eval_mor_d(t, demo_model),
-                                     eval_mor_d(out, demo_model))
-
-
-def test_naturality_slide_moves_lift_off_the_packed_side(demo_sig, demo_model):
-    from strictcat.terms import TensorM
-    t = CompD(Pack(X, Y), Lift(TensorM(Gen("f"), Gen("g"))))
-    out = apply_rules(t, demo_sig, "NATURALITY_SLIDE")
-    nf = seq_normal_form(out, demo_sig)
-    # the tensor lift is gone; the pack now comes last
-    kinds = [type(s.gen).__name__ for s in nf.slices]
-    assert kinds == ["Lift", "Lift", "Pack"]
-    assert extensional_equal(eval_mor_d(t, demo_model),
-                             eval_mor_d(out, demo_model))
-
-
-def test_unknown_ruleset_rejected(demo_sig):
-    with pytest.raises(ValueError):
-        apply_rules(IdD(()), demo_sig, "NOPE")
+    assert normalize_adapters(t2, demo_sig) == IdD((UNIT,))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +253,14 @@ def test_normalize_preserves_semantics(demo_sig, demo_model):
         assert typecheck_d(out, demo_sig) == typecheck_d(t, demo_sig)
         assert extensional_equal(eval_mor_d(t, demo_model),
                                  eval_mor_d(out, demo_model))
+
+
+def test_normalize_rejects_ill_typed_lift(demo_sig):
+    # the lift expands to lift(f) ; lift(f), which the strict walk rejects
+    with pytest.raises(TypeMismatch) as err:
+        normalize_adapters(Lift(Comp(Gen("f"), Gen("f"))), demo_sig)
+    assert err.value.position == "root"
+    assert err.value.detail == "[y] composed against [x]"
 
 
 def test_normalize_budget_is_enforced(catw_sig, rng):

@@ -140,3 +140,16 @@ def test_signature_rejects_clashes():
         make_signature(["pack"])
     with pytest.raises(UnknownName):
         make_signature(["a"], {"f": (Base("missing"), Base("a"))})
+
+
+def test_signature_is_read_only_and_hashable():
+    gens = {"f": (X, Y)}
+    sig = make_signature(["x", "y"], gens)
+    # writing through the signature would bypass the checks above
+    with pytest.raises(TypeError):
+        sig.generators["lambda"] = (X, Base("nope"))
+    gens["g"] = (Y, X)  # the caller's dict is copied, not shared
+    assert "g" not in sig.generators
+    same = make_signature(["y", "x"], {"f": (X, Y)})
+    assert sig == same and hash(sig) == hash(same)
+    assert {sig: 1}[same] == 1

@@ -1,16 +1,24 @@
 """Coherence-based decision procedures and canonical map synthesis.
 
+Equality is decided on flattened diagrams.  Strictification is an
+equivalence, so the free monoidal category on a signature embeds
+faithfully into the free *strict* monoidal category on the flattened
+signature, where each generator ``A -> B`` is a box from ``flatten(A)``
+base wires to ``flatten(B)``.  A morphism there is a planar diagram of
+boxes up to interchange (Joyal & Street 1991); structural morphisms have
+no boxes, which is the coherence theorem.  Two parallel terms whose box
+lists reach the same left normal form (Delpeuch & Vicary,
+arXiv:1804.07832) are equal.
+
 The canonical arrow between two wire sequences with the same flattening
 is ``unpack`` then ``pack`` (see :mod:`strictcat.strict`); this module
-wraps it into equality verdicts for the base category and into the
-synthesis of canonical natural isomorphisms between two bracketings of
-the same shape.
+also wraps it into the synthesis of canonical natural isomorphisms
+between two bracketings of the same shape.
 
-Verdicts are deliberately conservative: parallel structural morphisms
-are equal by coherence, but a pair involving generators is only decided
-when a finite model is supplied or when both sides reach the same normal
-form.  Otherwise the honest answer is "unknown" - coherence does not say
-that every diagram of natural-transformation components commutes.
+Verdicts are sound but not complete: where a generator has no output
+wire (``y -> I``, or a scalar ``I -> I``), equal diagrams can reach
+different left normal forms, so differing forms give "unknown" unless a
+finite model is supplied.
 """
 
 from __future__ import annotations
@@ -18,14 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    MorC, ObjC, Signature, TermError, ArityMismatch, is_structural,
-    objsize, substitute, typecheck_c,
+    MorC, ObjC, Signature, TermError, ArityMismatch, _boxes, is_structural,
+    objsize, substitute,
 )
 from .strict import (
     FlatteningMismatch, Lift, MorD, _records, canonical_d, normalize_adapters,
     pack_obj, unpack_obj,
 )
 from .functors import nonstrictify, strictify_expand
+from .finmodel import eval_mor, extensional_equal
 
 __all__ = [
     "EQUAL", "NOT_EQUAL", "UNKNOWN", "EqVerdict", "PreconditionError",
@@ -56,29 +65,51 @@ def equal_structural(f: MorC, g: MorC, sig: Signature,
                      model=None) -> EqVerdict:
     """Decide equality of two parallel morphism terms.
 
-    Structural pairs with identical endpoints are equal by coherence.
-    Generator-bearing pairs are compared through their adapter normal
-    forms, then (if a model is given) extensionally; otherwise the
-    verdict is unknown.
+    Both terms are read as diagrams of generator boxes on base wires.
+    Different endpoints give "not equal"; box lists with the same left
+    normal form give "equal" (for structural pairs both lists are
+    empty).  Otherwise a supplied model decides extensionally, and
+    without one the verdict is unknown.
     """
-    df, cf = typecheck_c(f, sig)
-    dg, cg = typecheck_c(g, sig)
+    df, cf, bf = _boxes(f, sig)
+    dg, cg, bg = _boxes(g, sig)
     if (df, cf) != (dg, cg):
         return EqVerdict(NOT_EQUAL, "endpoints differ")
-    if f == g:
-        return EqVerdict(EQUAL, "identical terms")
-    if is_structural(f) and is_structural(g):
-        return EqVerdict(EQUAL, "coherence: parallel structural morphisms")
-    nf_f = normalize_adapters(strictify_expand(f, sig), sig)
-    nf_g = normalize_adapters(strictify_expand(g, sig), sig)
-    if nf_f == nf_g:
-        return EqVerdict(EQUAL, "identical normal forms")
+    if _left_normal_form(bf) == _left_normal_form(bg):
+        return EqVerdict(EQUAL, "identical flattened diagrams")
     if model is not None:
-        from .finmodel import eval_mor, extensional_equal
         if extensional_equal(eval_mor(f, model), eval_mor(g, model)):
             return EqVerdict(EQUAL, "extensionally equal in supplied model")
         return EqVerdict(NOT_EQUAL, "distinguished by supplied model")
-    return EqVerdict(UNKNOWN, "outside the decided fragment; no model given")
+    return EqVerdict(UNKNOWN, "left normal forms differ; no model given")
+
+
+def _left_normal_form(boxes: list) -> list:
+    """The box list ``boxes`` after left exchanges until none applies.
+
+    A left exchange swaps two consecutive boxes when the later one takes
+    its inputs from wires left of the earlier one's outputs (strict
+    interchange): the later box keeps its offset and the earlier one
+    moves by the later one's change of width.  Each box is inserted in
+    turn and exchanged leftwards as far as it goes, which leaves no
+    exchange applicable, in at most quadratic time.
+
+    When the earlier box has no inputs, the later one no outputs and they
+    touch, the exchange would also apply backwards; such a pair has no
+    canonical order, so it stays as it is.
+    """
+    out: list = []
+    for box in boxes:
+        p2, _, i2, o2 = box
+        j = len(out)
+        while j:
+            p1, name, i1, o1 = out[j - 1]
+            if p2 + i2 > p1 or (p2 + i2 == p1 and i1 == 0 and o2 == 0):
+                break
+            out[j - 1] = (p1 - i2 + o2, name, i1, o1)
+            j -= 1
+        out.insert(j, box)
+    return out
 
 
 def canonical_nat_iso(shape_a: ObjC, shape_b: ObjC,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
     TensorM, TermError, TypeMismatch, UnitL, UnitLInv, UnitR, UnitRInv,
-    Unit, flatten, invert_structural, show_obj, typecheck_c,
+    Unit, flatten, invert_structural, path_to, show_obj, typecheck_c,
 )
 
 Wires = tuple  # tuple[ObjC, ...]
@@ -217,27 +217,27 @@ def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, list]:
     gen_cod)``: ``gen`` acts on the wires from index ``pos`` on."""
     recs: list = []
 
-    def go(u: MorD, path: str, shift: int) -> tuple[Wires, Wires]:
+    def go(u: MorD, shift: int) -> tuple[Wires, Wires]:
         # appends the records of ``u`` acting at ``shift``
         if isinstance(u, IdD):
             return u.wires, u.wires
         if isinstance(u, CompD):
-            d1, c1 = go(u.first, path + ".first", shift)
-            d2, c2 = go(u.second, path + ".second", shift)
+            d1, c1 = go(u.first, shift)
+            d2, c2 = go(u.second, shift)
             if c1 != d2:
                 raise TypeMismatch(
-                    path,
+                    path_to(t, u),
                     f"{show_wires(c1)} composed against {show_wires(d2)}")
             return d1, c2
         if isinstance(u, TensorD):
-            d1, c1 = go(u.left, path + ".left", shift)
-            d2, c2 = go(u.right, path + ".right", shift + len(c1))
+            d1, c1 = go(u.left, shift)
+            d2, c2 = go(u.right, shift + len(c1))
             return d1 + d2, c1 + c2
         d, c = _gen_ends(u, sig)
         recs.append((shift, u, d, c))
         return d, c
 
-    dom, cod = go(t, "root", 0)
+    dom, cod = go(t, 0)
     return dom, cod, recs
 
 

@@ -257,26 +257,52 @@ def validate_obj(a: ObjC, sig: Signature) -> None:
 
 def typecheck_c(f: MorC, sig: Signature) -> tuple[ObjC, ObjC]:
     """Return (dom, cod) of ``f`` or raise TypeMismatch / UnknownName."""
+    dom, cod, _ = _boxes(f, sig)
+    return dom, cod
 
-    def go(t: MorC, path: str) -> tuple[ObjC, ObjC]:
+
+def _boxes(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, list]:
+    """Typecheck ``f`` and list its generator boxes on base wires.
+
+    Each ``Gen`` node gives a box ``(offset, name, n_in, n_out)``, in
+    the order of a sequential reading of ``f``: it consumes ``n_in`` base
+    wires (the length of ``flatten`` of its domain) starting ``offset``
+    base wires from the left and puts ``n_out`` in their place.
+    Structural nodes flatten to identities and give no box, so this is
+    ``f`` as a diagram of the free strict monoidal category on the
+    flattened signature.
+    """
+    gens = sig.generators
+    boxes: list = []
+
+    def go(t: MorC, offset: int) -> tuple[ObjC, ObjC]:
+        if isinstance(t, Comp):
+            d1, c1 = go(t.first, offset)
+            d2, c2 = go(t.second, offset)
+            if c1 != d2:
+                raise TypeMismatch(
+                    path_to(f, t),
+                    f"{show_obj(c1)} composed against {show_obj(d2)}")
+            return d1, c2
+        if isinstance(t, TensorM):
+            d1, c1 = go(t.left, offset)
+            n = len(boxes)
+            d2, c2 = go(t.right, offset)
+            if len(boxes) > n:
+                # the right half acts after the left one, so past its cod
+                width = objsize(c1)
+                boxes[n:] = [(p + width, name, i, o)
+                             for p, name, i, o in boxes[n:]]
+            return Tensor(d1, d2), Tensor(c1, c2)
+        if isinstance(t, Gen):
+            if t.name not in gens:
+                raise UnknownName(t.name)
+            d, c = gens[t.name]
+            boxes.append((offset, t.name, objsize(d), objsize(c)))
+            return d, c
         if isinstance(t, Id):
             validate_obj(t.obj, sig)
             return t.obj, t.obj
-        if isinstance(t, Gen):
-            if t.name not in sig.generators:
-                raise UnknownName(t.name)
-            return sig.generators[t.name]
-        if isinstance(t, Comp):
-            d1, c1 = go(t.first, path + ".first")
-            d2, c2 = go(t.second, path + ".second")
-            if c1 != d2:
-                raise TypeMismatch(
-                    path, f"{show_obj(c1)} composed against {show_obj(d2)}")
-            return d1, c2
-        if isinstance(t, TensorM):
-            d1, c1 = go(t.left, path + ".left")
-            d2, c2 = go(t.right, path + ".right")
-            return Tensor(d1, d2), Tensor(c1, c2)
         if isinstance(t, Assoc):
             for x in (t.a, t.b, t.c):
                 validate_obj(x, sig)
@@ -299,7 +325,29 @@ def typecheck_c(f: MorC, sig: Signature) -> tuple[ObjC, ObjC]:
             return t.obj, Tensor(t.obj, UNIT)
         raise TypeError(t)
 
-    return go(f, "root")
+    dom, cod = go(f, 0)
+    return dom, cod, boxes
+
+
+def path_to(root, node) -> str:
+    """Position of ``node`` in the term ``root``, as a type error reports it:
+    ``root`` then one ``.first``/``.second``/``.left``/``.right`` step per
+    composition or tensor node on the way down.
+
+    A walk that finds a mismatch calls this only then, so well-typed terms
+    pay nothing for positions.  The node is found by identity; a shared
+    subterm yields its first occurrence in walk order, which is the one a
+    left-to-right walk meets first.
+    """
+    stack = [(root, "root")]
+    while True:
+        t, path = stack.pop()
+        if t is node:
+            return path
+        for step in ("second", "first", "right", "left"):
+            child = getattr(t, step, None)
+            if child is not None:
+                stack.append((child, f"{path}.{step}"))
 
 
 def invert_structural(f: MorC) -> MorC:

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
-    UNIT, Assoc, Base, Comp, Gen, Id, Tensor, UnitL, UnitR, is_structural,
-    objsize, typecheck_c,
+    UNIT, Assoc, Base, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitR,
+    is_structural, make_signature, objsize, typecheck_c,
 )
 from strictcat.strict import CompD, IdD, Lift, canonical_d
 from strictcat.coherence import (
@@ -12,9 +16,10 @@ from strictcat.coherence import (
 from strictcat.functors import nonstrictify
 from strictcat.finmodel import FinModel, eval_mor, extensional_equal
 from strictcat.generate import (
-    enumerate_catw_objects, random_singleton_adapter_term,
+    enumerate_catw_objects, random_mor_from, random_singleton_adapter_term,
     random_structural_walk,
 )
+from strictcat.syntax import parse_cmor
 
 from conftest import W, X, Y, Z
 
@@ -42,11 +47,38 @@ def test_equal_structural_unknown_for_generators(demo_sig):
     assert equal_structural(f, Comp(f, Id(Y)), demo_sig).kind == EQUAL
     sig = demo_sig
     verdict = equal_structural(Gen("u"), Comp(Gen("u"), Id(Y)), sig)
-    assert verdict.kind == EQUAL  # identical normal forms
+    assert verdict.kind == EQUAL  # identical flattened diagrams
     from strictcat.terms import make_signature
     two = make_signature(["x"], {"p": (Base("x"), Base("x")),
                                  "q": (Base("x"), Base("x"))})
     assert equal_structural(Gen("p"), Gen("q"), two).kind == UNKNOWN
+
+
+# Scalars ``s, t : I -> I``, and ``u : I -> y``, ``k : y -> I``, whose
+# composite ``u ; k`` is a floating component.
+SCALAR_SIG = make_signature(["x", "y"], {
+    "f": (X, Y), "s": (UNIT, UNIT), "t": (UNIT, UNIT),
+    "u": (UNIT, Y), "k": (Y, UNIT)})
+
+
+@pytest.mark.parametrize("lhs, rhs, kind", [
+    ("lambda[I] ; u", "rho[I] ; u", EQUAL),
+    ("f (*) id[I]", "rho[x] ; f ; rho'[y]", EQUAL),
+    ("(s (*) s) ; lambda[I]", "lambda[I] ; s ; s", EQUAL),
+    ("(k (*) u) ; lambda[y]", "rho[y] ; k ; u", EQUAL),
+    # left and right scalar actions differ without a braiding
+    ("lambda'[x] ; (s (*) id[x]) ; lambda[x]",
+     "rho'[x] ; (id[x] (*) s) ; rho[x]", UNKNOWN),
+    # equal (End(I) is commutative), but boxes with no outputs have no
+    # canonical order
+    ("s ; t", "t ; s", UNKNOWN),
+])
+def test_equal_structural_scalars_and_floating_boxes(lhs, rhs, kind):
+    f, g = parse_cmor(lhs), parse_cmor(rhs)
+    for a, b in ((f, g), (g, f)):
+        verdict = equal_structural(a, b, SCALAR_SIG)
+        assert verdict.kind == kind
+        assert "distinct" not in verdict.detail
 
 
 def test_equal_structural_model_decides(demo_sig, demo_model):
@@ -74,6 +106,37 @@ def test_equal_structural_is_an_equivalence(catw_sig, rng):
         vf = equal_structural(f, g, catw_sig)
         vg = equal_structural(g, f, catw_sig)
         assert vf.kind == vg.kind  # symmetric
+
+
+# Domains of the demo generators, so random terms often hold boxes.
+GEN_DOMS = (X, Y, Tensor(X, Y), UNIT)
+
+
+@given(st.integers(0, 2 ** 30))
+@settings(max_examples=80, deadline=None)
+def test_equal_verdicts_sound_and_symmetric(demo_sig, demo_model, seed):
+    rng = random.Random(seed)
+    dom = rng.choice(GEN_DOMS)
+    terms = [random_mor_from(demo_sig, dom, 4, rng) for _ in range(4)]
+    for f, g in itertools.combinations(terms, 2):
+        kind = equal_structural(f, g, demo_sig).kind
+        assert equal_structural(g, f, demo_sig).kind == kind
+        if kind == EQUAL:
+            assert extensional_equal(eval_mor(f, demo_model),
+                                     eval_mor(g, demo_model))
+
+
+@given(st.integers(0, 2 ** 30))
+@settings(max_examples=80, deadline=None)
+def test_interchange_pairs_are_equal(demo_sig, seed):
+    rng = random.Random(seed)
+    a, b = (random_mor_from(demo_sig, rng.choice(GEN_DOMS), 4, rng)
+            for _ in range(2))
+    (a1, b1), (a2, b2) = typecheck_c(a, demo_sig), typecheck_c(b, demo_sig)
+    split = Comp(TensorM(a, Id(a2)), TensorM(Id(b1), b))
+    for other in (TensorM(a, b), Comp(TensorM(Id(a1), b), TensorM(a, Id(b2)))):
+        assert equal_structural(split, other, demo_sig).kind == EQUAL
+        assert equal_structural(other, split, demo_sig).kind == EQUAL
 
 
 def test_parallel_structural_pairs_equal_and_oracle_agrees(

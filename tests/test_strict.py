@@ -47,6 +47,21 @@ def test_typecheck_rejects_mismatch(demo_sig):
     assert err.value.detail == "[(x * y)] composed against [x|y]"
 
 
+def test_typecheck_reports_deep_position(demo_sig):
+    bad = CompD(Lift(Gen("f")), Lift(Gen("f")))   # [y] composed against [x]
+    t = CompD(CompD(IdD((X, Y)), TensorD(bad, IdD((Y,)))), IdD((Y, Y)))
+    with pytest.raises(TypeMismatch) as err:
+        typecheck_d(t, demo_sig)
+    assert err.value.position == "root.first.second.left"
+    assert str(err.value) == \
+        "type mismatch at root.first.second.left: [y] composed against [x]"
+    # a shared ill-typed subterm is reported where the walk meets it first
+    with pytest.raises(TypeMismatch) as err:
+        typecheck_d(CompD(TensorD(IdD((X,)), bad), TensorD(bad, IdD((X,)))),
+                    demo_sig)
+    assert err.value.position == "root.first.right"
+
+
 # ---------------------------------------------------------------------------
 # Sequential normal form
 

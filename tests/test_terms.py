@@ -32,6 +32,20 @@ def test_typecheck_rejects_bad_composition(catw_sig):
         typecheck_c(Comp(UnitL(W), UnitL(W)), catw_sig)
 
 
+def test_typecheck_reports_deep_position(demo_sig):
+    bad = Comp(Gen("f"), Gen("f"))   # y composed against x
+    t = Comp(Comp(Id(Tensor(X, Y)), TensorM(bad, Id(Y))), Id(Tensor(Y, Y)))
+    with pytest.raises(TypeMismatch) as err:
+        typecheck_c(t, demo_sig)
+    assert err.value.position == "root.first.second.left"
+    assert str(err.value) == \
+        "type mismatch at root.first.second.left: y composed against x"
+    # a shared ill-typed subterm is reported where the walk meets it first
+    with pytest.raises(TypeMismatch) as err:
+        typecheck_c(Comp(TensorM(Id(X), bad), TensorM(bad, Id(X))), demo_sig)
+    assert err.value.position == "root.first.right"
+
+
 def test_typecheck_rejects_unknown_generator(catw_sig):
     with pytest.raises(UnknownName):
         typecheck_c(Gen("nope"), catw_sig)

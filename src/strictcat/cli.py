@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="cancel adapters in a strict term")
     common(p)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=None,
+                   help="bound the cancellations and swaps made on "
+                        "lift-bearing terms")
     p.add_argument("term")
     p.set_defaults(fn=cmd_normalize)
 

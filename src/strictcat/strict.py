@@ -17,7 +17,9 @@ into slices ``id ⊗ generator ⊗ id``.  Rewriting runs on position records
 their wires are materialised only when a result needs them.  Reordering
 slices whose supports are disjoint does not change the denoted morphism
 (strict interchange), which the cancellation loop uses to bring inverse
-adapter pairs together.
+adapter pairs together.  A term with no lifted generator needs no
+rewriting: coherence of the adapter fragment gives its normal form
+directly.
 """
 
 from __future__ import annotations
@@ -323,21 +325,19 @@ def canonical_d(a: Wires, b: Wires) -> MorD:
 
 @dataclass
 class RewriteStats:
+    """Rewrites actually made: cancelled pairs, swaps and a trace.  An
+    adapter-only term is presented without rewriting, so it reports no
+    pairs, no swaps, one trace line, and never exhausts a step budget."""
     cancelled_pairs: int = 0
     swaps: int = 0
     trace: list[str] = field(default_factory=list)
 
 
-class _Budget:
-    def __init__(self, max_steps):
-        self.left = max_steps
-
-    def tick(self):
-        if self.left is None:
-            return
-        self.left -= 1
-        if self.left < 0:
-            raise RewriteBudgetExceeded("rewrite step budget exhausted")
+def _tick(stats: RewriteStats, max_steps: int | None) -> None:
+    """Allow one more rewrite, or raise once ``max_steps`` are made."""
+    if max_steps is not None and \
+            stats.cancelled_pairs + stats.swaps >= max_steps:
+        raise RewriteBudgetExceeded("rewrite step budget exhausted")
 
 
 def _map_lifts(t: MorD, fn) -> MorD:
@@ -402,7 +402,7 @@ _INVERSE = {Pack: Unpack, Unpack: Pack,
             UnitIntro: UnitElim, UnitElim: UnitIntro}
 
 
-def _cancel_and_slide(recs: list, budget: _Budget,
+def _cancel_and_slide(recs: list, max_steps: int | None,
                       stats: RewriteStats) -> list:
     """Cancel adjacent inverse adapters at one position, then swap
     adjacent records whose second acts strictly left of the first (strict
@@ -421,7 +421,7 @@ def _cancel_and_slide(recs: list, budget: _Budget,
             p2, g2, _, _ = recs[i + 1]
             if p1 == p2 and _INVERSE.get(type(g1)) is type(g2) \
                     and vars(g1) == vars(g2):
-                budget.tick()
+                _tick(stats, max_steps)
                 stats.cancelled_pairs += 1
                 stats.trace.append(
                     f"cancel {_gen_name(g1)}/{_gen_name(g2)} at wire {p1}")
@@ -434,7 +434,7 @@ def _cancel_and_slide(recs: list, budget: _Budget,
             p1, g1, d1, c1 = recs[i]
             p2, _, d2, c2 = recs[i + 1]
             if p2 + len(d2) <= p1:
-                budget.tick()
+                _tick(stats, max_steps)
                 stats.swaps += 1
                 recs[i] = recs[i + 1]
                 recs[i + 1] = (p1 + len(c2) - len(d2), g1, d1, c1)
@@ -466,23 +466,21 @@ def normalize_adapters_with_stats(
         max_steps: int | None = None) -> tuple[MorD, RewriteStats]:
     """Normalise ``t``: expand lifts, slice, cancel adapters.
 
-    Adapter-only results are presented canonically: the identity when the
-    endpoints coincide, otherwise ``unpack(dom) ; pack(cod)``.  That
-    presentation is licensed by the coherence of the adapter fragment
-    (every adapter-only arrow equals the canonical one), so it holds even
-    when the local cancellation loop leaves residual slices.  Terms still
-    containing lifted generators are recomposed from their cancelled
-    slices.
+    Adapter-only terms are presented canonically without rewriting: the
+    identity when the endpoints coincide, otherwise ``unpack(dom) ;
+    pack(cod)``.  Coherence of the adapter fragment (every adapter-only
+    arrow equals the canonical one) licenses this.  Only when a lifted
+    generator remains does the cancel/swap loop run, bounded by
+    ``max_steps``; the result is recomposed from its slices.
     """
-    budget = _Budget(max_steps)
     stats = RewriteStats()
     t = _map_lifts(t, lambda f: _expand(f, sig))
     dom, cod, recs = _records(t, sig)
-    recs = _cancel_and_slide(recs, budget, stats)
-    if not any(isinstance(gen, Lift) for _, gen, _, _ in recs):
-        if dom == cod:
-            stats.trace.append("adapter-only endpoints coincide: identity")
-            return IdD(dom), stats
-        stats.trace.append("adapter-only: canonical presentation")
-        return canonical_d(dom, cod), stats
-    return recompose(_slices(recs, dom), dom), stats
+    if any(isinstance(gen, Lift) for _, gen, _, _ in recs):
+        recs = _cancel_and_slide(recs, max_steps, stats)
+        return recompose(_slices(recs, dom), dom), stats
+    if dom == cod:
+        stats.trace.append("adapter-only endpoints coincide: identity")
+        return IdD(dom), stats
+    stats.trace.append("adapter-only: canonical presentation")
+    return canonical_d(dom, cod), stats

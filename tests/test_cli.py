@@ -125,15 +125,27 @@ def test_json_normalize_payload_pinned(sig_path):
     term = "pack[x,y] (*) idD[z] ; unpack[x,y] (*) idD[z]"
     code, out = run_cli("--json", "normalize", "--sig", sig_path, term)
     assert code == 0
+    # an adapter-only term is presented without rewriting
+    assert json.loads(out) == {
+        "cancelled_pairs": 0,
+        "command": "normalize",
+        "input": term,
+        "output": "idD[x|y|z]",
+        "trace": ["adapter-only endpoints coincide: identity"],
+    }
+
+
+def test_json_normalize_lift_payload_pinned(sig_path):
+    term = ("pack[x,y] (*) idD[y] ; idD[(x * y)] (*) lift(g) ; "
+            "unpack[x,y] (*) idD[z]")
+    code, out = run_cli("--json", "normalize", "--sig", sig_path, term)
+    assert code == 0
     assert json.loads(out) == {
         "cancelled_pairs": 1,
         "command": "normalize",
         "input": term,
-        "output": "idD[x|y|z]",
-        "trace": [
-            "cancel pack[x,y]/unpack[x,y] at wire 0",
-            "adapter-only endpoints coincide: identity",
-        ],
+        "output": "idD[x|y] (*) lift(g)",
+        "trace": ["cancel pack[x,y]/unpack[x,y] at wire 0"],
     }
 
 

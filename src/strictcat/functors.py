@@ -28,9 +28,11 @@ def strictify_shallow(f: MorC, sig: Signature) -> MorD:
 
 
 def strictify_expand(f: MorC, sig: Signature) -> MorD:
-    """Strictify ``f`` leaving lifts only around signature generators."""
+    """Strictify ``f`` leaving lifts only around signature generators.
+    Only the root is typechecked; the expansion builds each subterm's ends
+    from its children's, so a deep tensor costs one walk."""
     typecheck_c(f, sig)
-    return _expand(f, sig)
+    return _expand(f, sig)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,14 @@ identities, composition and tensor.
 
 The rewrite system lives on *sequential normal forms*: every term factors
 into slices ``id ⊗ generator ⊗ id``.  Rewriting runs on position records
-(where each generator starts, no identity wires); ``Slice`` objects with
-their wires are materialised only when a result needs them.  Reordering
-slices whose supports are disjoint does not change the denoted morphism
-(strict interchange), which the cancellation loop uses to bring inverse
-adapter pairs together.  A term with no lifted generator needs no
-rewriting: coherence of the adapter fragment gives its normal form
-directly.
+(where each generator starts, no identity wires); a lifted composite's
+record gives way to the records of its expansion, and ``Slice`` objects
+are materialised only when a result needs them.  Reordering slices whose
+supports are disjoint does not change the denoted morphism (strict
+interchange), which the cancellation loop uses to bring inverse adapter
+pairs together; it records each cancellation as a tuple.  A term with no
+lifted generator needs no rewriting: coherence of the adapter fragment
+gives its normal form directly.
 """
 
 from __future__ import annotations
@@ -138,6 +139,11 @@ def _gen_ends(g: MorD, sig: Signature) -> tuple[Wires, Wires]:
     raise TypeError(g)
 
 
+# Each adapter type and the type of its inverse, which has the same fields.
+_INVERSE = {Pack: Unpack, Unpack: Pack,
+            UnitIntro: UnitElim, UnitElim: UnitIntro}
+
+
 def invert_d(t: MorD) -> MorD:
     """Formal inverse; defined when every lifted morphism is structural."""
     if isinstance(t, IdD):
@@ -147,14 +153,8 @@ def invert_d(t: MorD) -> MorD:
             return Lift(invert_structural(t.mor))
         except TermError as err:
             raise NotInvertible(str(err)) from None
-    if isinstance(t, Pack):
-        return Unpack(t.left, t.right)
-    if isinstance(t, Unpack):
-        return Pack(t.left, t.right)
-    if isinstance(t, UnitIntro):
-        return UnitElim()
-    if isinstance(t, UnitElim):
-        return UnitIntro()
+    if type(t) in _INVERSE:
+        return _INVERSE[type(t)](**vars(t))
     if isinstance(t, CompD):
         return CompD(invert_d(t.second), invert_d(t.first))
     if isinstance(t, TensorD):
@@ -279,23 +279,30 @@ def pack_obj(x: Wires) -> MorD:
     label is summoned from nothing, a base label is left alone, a tensor
     label is built from its halves and fused.
     """
+    return _packing(x, True)
+
+
+def unpack_obj(x: Wires) -> MorD:
+    """The inverse of ``pack_obj(x)``, built by the same recursion."""
+    return _packing(x, False)
+
+
+def _packing(x: Wires, up: bool) -> MorD:
     if len(x) == 0:
         return IdD(())
     if len(x) == 1:
         label = x[0]
         if isinstance(label, Unit):
-            return UnitIntro()
+            return UnitIntro() if up else UnitElim()
         if isinstance(label, Base):
             return IdD((label,))
         if isinstance(label, Tensor):
-            halves = TensorD(pack_obj((label.left,)), pack_obj((label.right,)))
-            return CompD(halves, Pack(label.left, label.right))
+            halves = TensorD(_packing((label.left,), up),
+                             _packing((label.right,), up))
+            fuse = (Pack if up else Unpack)(label.left, label.right)
+            return CompD(halves, fuse) if up else CompD(fuse, halves)
         raise TypeError(label)
-    return TensorD(pack_obj(x[:1]), pack_obj(x[1:]))
-
-
-def unpack_obj(x: Wires) -> MorD:
-    return invert_d(pack_obj(x))
+    return TensorD(_packing(x[:1], up), _packing(x[1:], up))
 
 
 def canonical_d(a: Wires, b: Wires) -> MorD:
@@ -325,12 +332,20 @@ def canonical_d(a: Wires, b: Wires) -> MorD:
 
 @dataclass
 class RewriteStats:
-    """Rewrites actually made: cancelled pairs, swaps and a trace.  An
+    """Rewrites actually made: cancelled pairs, swaps and their events.  An
     adapter-only term is presented without rewriting, so it reports no
-    pairs, no swaps, one trace line, and never exhausts a step budget."""
+    pairs, no swaps, one event, and never exhausts a step budget.  Events
+    are kept as made, a cancellation as ``(first, second, wire)`` and an
+    adapter-only outcome as text; ``trace`` renders them, one line each."""
     cancelled_pairs: int = 0
     swaps: int = 0
-    trace: list[str] = field(default_factory=list)
+    events: list = field(default_factory=list)
+
+    @property
+    def trace(self) -> list[str]:
+        return [e if isinstance(e, str) else
+                f"cancel {_gen_name(e[0])}/{_gen_name(e[1])} at wire {e[2]}"
+                for e in self.events]
 
 
 def _tick(stats: RewriteStats, max_steps: int | None) -> None:
@@ -340,66 +355,54 @@ def _tick(stats: RewriteStats, max_steps: int | None) -> None:
         raise RewriteBudgetExceeded("rewrite step budget exhausted")
 
 
-def _map_lifts(t: MorD, fn) -> MorD:
-    if isinstance(t, Lift):
-        return fn(t.mor)
-    if isinstance(t, CompD):
-        return CompD(_map_lifts(t.first, fn), _map_lifts(t.second, fn))
-    if isinstance(t, TensorD):
-        return TensorD(_map_lifts(t.left, fn), _map_lifts(t.right, fn))
-    return t
-
-
-def _expand(f: MorC, sig: Signature) -> MorD:
-    """Strict image of ``f`` with lifts left only around generators.
+def _expand(f: MorC, sig: Signature) -> tuple[MorD, ObjC, ObjC]:
+    """Strict image of ``f`` with lifts left only around generators, and
+    the ends of ``f``, built bottom-up: ``f`` must be well typed.
 
     Tensors unpack, act on both wires, and repack; the associator and
     unitor images are the fixed composites whose orientation is the one
     that typechecks.
     """
     if isinstance(f, Id):
-        return IdD((f.obj,))
+        return IdD((f.obj,)), f.obj, f.obj
     if isinstance(f, Gen):
-        return Lift(f)
+        return (Lift(f),) + sig.generators[f.name]
     if isinstance(f, Comp):
-        return CompD(_expand(f.first, sig), _expand(f.second, sig))
+        t1, d1, _ = _expand(f.first, sig)
+        t2, _, c2 = _expand(f.second, sig)
+        return CompD(t1, t2), d1, c2
     if isinstance(f, TensorM):
-        d1, c1 = typecheck_c(f.left, sig)
-        d2, c2 = typecheck_c(f.right, sig)
-        return chain_d(
-            Unpack(d1, d2),
-            TensorD(_expand(f.left, sig), _expand(f.right, sig)),
-            Pack(c1, c2))
+        t1, d1, c1 = _expand(f.left, sig)
+        t2, d2, c2 = _expand(f.right, sig)
+        return (chain_d(Unpack(d1, d2), TensorD(t1, t2), Pack(c1, c2)),
+                Tensor(d1, d2), Tensor(c1, c2))
     if isinstance(f, Assoc):
+        bc, ab = Tensor(f.b, f.c), Tensor(f.a, f.b)
         return chain_d(
-            Unpack(f.a, Tensor(f.b, f.c)),
+            Unpack(f.a, bc),
             TensorD(IdD((f.a,)), Unpack(f.b, f.c)),
             TensorD(Pack(f.a, f.b), IdD((f.c,))),
-            Pack(Tensor(f.a, f.b), f.c))
+            Pack(ab, f.c)), Tensor(f.a, bc), Tensor(ab, f.c)
     if isinstance(f, AssocInv):
+        bc, ab = Tensor(f.b, f.c), Tensor(f.a, f.b)
         return chain_d(
-            Unpack(Tensor(f.a, f.b), f.c),
+            Unpack(ab, f.c),
             TensorD(Unpack(f.a, f.b), IdD((f.c,))),
             TensorD(IdD((f.a,)), Pack(f.b, f.c)),
-            Pack(f.a, Tensor(f.b, f.c)))
+            Pack(f.a, bc)), Tensor(ab, f.c), Tensor(f.a, bc)
     if isinstance(f, UnitL):
-        return CompD(Unpack(UNIT, f.obj),
-                     TensorD(UnitElim(), IdD((f.obj,))))
+        return (CompD(Unpack(UNIT, f.obj), TensorD(UnitElim(), IdD((f.obj,)))),
+                Tensor(UNIT, f.obj), f.obj)
     if isinstance(f, UnitLInv):
-        return CompD(TensorD(UnitIntro(), IdD((f.obj,))),
-                     Pack(UNIT, f.obj))
+        return (CompD(TensorD(UnitIntro(), IdD((f.obj,))), Pack(UNIT, f.obj)),
+                f.obj, Tensor(UNIT, f.obj))
     if isinstance(f, UnitR):
-        return CompD(Unpack(f.obj, UNIT),
-                     TensorD(IdD((f.obj,)), UnitElim()))
+        return (CompD(Unpack(f.obj, UNIT), TensorD(IdD((f.obj,)), UnitElim())),
+                Tensor(f.obj, UNIT), f.obj)
     if isinstance(f, UnitRInv):
-        return CompD(TensorD(IdD((f.obj,)), UnitIntro()),
-                     Pack(f.obj, UNIT))
+        return (CompD(TensorD(IdD((f.obj,)), UnitIntro()), Pack(f.obj, UNIT)),
+                f.obj, Tensor(f.obj, UNIT))
     raise TypeError(f)
-
-
-# Each adapter type and the type of its inverse, which has the same fields.
-_INVERSE = {Pack: Unpack, Unpack: Pack,
-            UnitIntro: UnitElim, UnitElim: UnitIntro}
 
 
 def _cancel_and_slide(recs: list, max_steps: int | None,
@@ -423,8 +426,7 @@ def _cancel_and_slide(recs: list, max_steps: int | None,
                     and vars(g1) == vars(g2):
                 _tick(stats, max_steps)
                 stats.cancelled_pairs += 1
-                stats.trace.append(
-                    f"cancel {_gen_name(g1)}/{_gen_name(g2)} at wire {p1}")
+                stats.events.append((g1, g2, p1))
                 del recs[i:i + 2]
                 i = max(i - 1, 0)
                 changed = True
@@ -464,7 +466,7 @@ def normalize_adapters(t: MorD, sig: Signature,
 def normalize_adapters_with_stats(
         t: MorD, sig: Signature,
         max_steps: int | None = None) -> tuple[MorD, RewriteStats]:
-    """Normalise ``t``: expand lifts, slice, cancel adapters.
+    """Normalise ``t``: slice, expand lifted composites, cancel adapters.
 
     Adapter-only terms are presented canonically without rewriting: the
     identity when the endpoints coincide, otherwise ``unpack(dom) ;
@@ -474,13 +476,19 @@ def normalize_adapters_with_stats(
     ``max_steps``; the result is recomposed from its slices.
     """
     stats = RewriteStats()
-    t = _map_lifts(t, lambda f: _expand(f, sig))
-    dom, cod, recs = _records(t, sig)
+    dom, cod, given = _records(t, sig)
+    recs = []
+    for pos, gen, d, c in given:
+        if isinstance(gen, Lift) and not isinstance(gen.mor, Gen):
+            _, _, sub = _records(_expand(gen.mor, sig)[0], sig)
+            recs += [(pos + p, g, gd, gc) for p, g, gd, gc in sub]
+        else:
+            recs.append((pos, gen, d, c))
     if any(isinstance(gen, Lift) for _, gen, _, _ in recs):
         recs = _cancel_and_slide(recs, max_steps, stats)
         return recompose(_slices(recs, dom), dom), stats
     if dom == cod:
-        stats.trace.append("adapter-only endpoints coincide: identity")
+        stats.events.append("adapter-only endpoints coincide: identity")
         return IdD(dom), stats
-    stats.trace.append("adapter-only: canonical presentation")
+    stats.events.append("adapter-only: canonical presentation")
     return canonical_d(dom, cod), stats

@@ -1,12 +1,15 @@
+import hashlib
+
 import pytest
 
+from strictcat import demos, functors, strict
 from strictcat.terms import (
     UNIT, Assoc, AssocInv, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitLInv,
     UnitR, UnitRInv, typecheck_c,
 )
 from strictcat.strict import (
     CompD, IdD, Lift, Pack, TensorD, UnitElim, UnitIntro, Unpack, chain_d,
-    invert_d, normalize_adapters, typecheck_d,
+    invert_d, normalize_adapters, normalize_adapters_with_stats, typecheck_d,
 )
 from strictcat.functors import (
     epsilon, eta, nonstrictify, obj_nonstrictify, psi_big, psi_small,
@@ -235,3 +238,59 @@ def test_monoidal_functor_laws_for_strictification(demo_sig, rng):
                        Lift(UnitL(a)))
         assert normalize_adapters(sq_r, demo_sig) == IdD((a,))
         assert normalize_adapters(sq_l, demo_sig) == IdD((a,))
+
+
+def test_strictify_expand_typechecks_once(monkeypatch):
+    # the endpoints of every subterm come out of the expansion itself, so
+    # only the root is typechecked, however deep the tensors nest
+    sig = demos.parity_signature()
+    f = nonstrictify(demos.parity_term(12), sig)
+    calls = []
+
+    def counting(g, s):
+        calls.append(g)
+        return typecheck_c(g, s)
+
+    monkeypatch.setattr(functors, "typecheck_c", counting)
+    monkeypatch.setattr(strict, "typecheck_c", counting)
+    strictify_expand(f, sig)
+    assert calls == [f]
+
+
+def _pin_inputs(demo_sig):
+    psig = demos.parity_signature()
+    for n in range(3, 41):
+        yield nonstrictify(demos.parity_term(n), psig), psig
+    for seed in range(80):
+        yield random_mor(demo_sig, 4, seed), demo_sig
+
+
+def _digest(items) -> str:
+    """First 16 hex digits of the SHA-256 of the items' reprs."""
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()[:16]
+
+
+def test_strictify_expand_pinned(demo_sig):
+    assert _digest(strictify_expand(f, sig)
+                   for f, sig in _pin_inputs(demo_sig)) == "02cfc98aa50a6c80"
+
+
+def test_normalize_lifts_pinned(demo_sig):
+    # normal form, counts and trace of each input lifted one wire to the
+    # right of an identity, and of random strict terms whose lifts sit at
+    # random wires: every composite lift is replaced by its expansion
+    def cases():
+        for f, sig in _pin_inputs(demo_sig):
+            dom, _ = typecheck_c(f, sig)
+            yield TensorD(IdD((dom,)), Lift(f)), sig
+        for seed in range(80):
+            yield random_dmor(demo_sig, 3, seed), demo_sig
+
+    def key(t, sig):
+        out, stats = normalize_adapters_with_stats(t, sig)
+        return out, stats.cancelled_pairs, stats.swaps, stats.trace
+
+    assert _digest(key(t, sig) for t, sig in cases()) == "186245b5e8214311"

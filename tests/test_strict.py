@@ -16,7 +16,9 @@ from strictcat.strict import (
 )
 from strictcat.finmodel import eval_mor_d, extensional_equal
 from strictcat.functors import strictify_expand
-from strictcat.generate import random_adapter_walk, random_dmor
+from strictcat.generate import (
+    enumerate_catw_objects, random_adapter_walk, random_dmor, random_obj,
+)
 
 from conftest import W, X, Y, Z
 
@@ -183,6 +185,15 @@ def test_unpack_obj_examples(catw_sig):
     assert unpack_obj((Tensor(W, W),)) == expected
 
 
+def test_unpack_obj_is_inverse_of_pack_obj(demo_sig, rng):
+    objs = list(enumerate_catw_objects())
+    objs += [random_obj(demo_sig, 3, rng) for _ in range(100)]
+    for x in objs:
+        assert unpack_obj((x,)) == invert_d(pack_obj((x,)))
+    for a, b in zip(objs, reversed(objs)):
+        assert unpack_obj((a, UNIT, b)) == invert_d(pack_obj((a, UNIT, b)))
+
+
 def test_pack_obj_domain_is_flattened(catw_sig):
     x = (Tensor(W, Tensor(UNIT, W)), UNIT, W)
     dom, cod = typecheck_d(pack_obj(x), catw_sig)
@@ -275,11 +286,16 @@ def test_normalize_preserves_semantics(demo_sig, demo_model):
 
 
 def test_normalize_rejects_ill_typed_lift(demo_sig):
-    # the lift expands to lift(f) ; lift(f), which the strict walk rejects
+    # the lifted morphism is typechecked before it is expanded, so the
+    # error is the one typecheck_d gives, at the position inside it
+    t = Lift(Comp(Gen("f"), Gen("f")))
     with pytest.raises(TypeMismatch) as err:
-        normalize_adapters(Lift(Comp(Gen("f"), Gen("f"))), demo_sig)
+        normalize_adapters(t, demo_sig)
     assert err.value.position == "root"
-    assert err.value.detail == "[y] composed against [x]"
+    assert err.value.detail == "y composed against x"
+    with pytest.raises(TypeMismatch) as direct:
+        typecheck_d(t, demo_sig)
+    assert str(err.value) == str(direct.value)
 
 
 def test_normalize_budget_is_enforced(demo_sig):

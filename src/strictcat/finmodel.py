@@ -10,7 +10,10 @@ same way over its labels.  A table holds the codomain index of each
 domain index, so composition is indexing and tensor is arithmetic.
 Rebracketing and unit insertion keep every index, so associators,
 unitors and adapters are identity index maps; their nesting lives in
-the endpoints and in the decoded ``mapping`` of nested ``Pair``s.
+the endpoints and in the decoded ``mapping`` of nested ``Pair``s.  A
+term with no generator is therefore the identity table on its domain,
+which ``eval_mor`` takes from the typed walk's empty box list without
+evaluating the term node by node.
 
 Generator tables are drawn pseudo-randomly from the model seed, one
 reproducible table per generator name.
@@ -26,8 +29,8 @@ from functools import cached_property
 
 from .terms import (
     Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
-    TensorM, TermError, UnitL, UnitLInv, UnitR, UnitRInv, Unit, show_obj,
-    typecheck_c,
+    TensorM, TermError, UnitL, UnitLInv, UnitR, UnitRInv, Unit, _boxes,
+    show_obj,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
@@ -152,7 +155,15 @@ def eval_obj(a: ObjC, model: FinModel) -> tuple[Element, ...]:
 
 
 def eval_mor(f: MorC, model: FinModel) -> FuncTable:
-    dom, cod = typecheck_c(f, model.sig)
+    """The table of ``f``.  A term with no generator box is structural,
+    and its table is taken as the identity on ``|dom|`` without walking
+    it: every structural node evaluates to an identity index map, and
+    composites and tensors of those are identities too, so this is the
+    table the walk would build.  It is the unique canonical isomorphism
+    of the coherence theorem, read in the mixed-radix indexing."""
+    dom, cod, boxes = _boxes(f, model.sig)
+    if not boxes:
+        return FuncTable(dom, cod, tuple(range(model.size(dom))), model)
     return FuncTable(dom, cod, _eval(f, model)[0], model)
 
 

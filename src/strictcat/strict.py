@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from .terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
     TensorM, TermError, TypeMismatch, UnitL, UnitLInv, UnitR, UnitRInv,
-    Unit, flatten, invert_structural, path_to, show_obj, typecheck_c,
+    Unit, UnknownName, _box_walk, flatten, invert_structural, memo_roots,
+    path_to, show_obj,
 )
 
 Wires = tuple  # tuple[ObjC, ...]
@@ -124,9 +125,16 @@ def typecheck_d(t: MorD, sig: Signature) -> tuple[Wires, Wires]:
 
 
 def _gen_ends(g: MorD, sig: Signature) -> tuple[Wires, Wires]:
-    """(dom, cod) wire sequences of one generator node."""
+    """(dom, cod) wire sequences of one generator node.  A lifted
+    composite is typechecked by the walk that remembers no roots: it is
+    a subterm, and the caller's roots should stay remembered."""
     if isinstance(g, Lift):
-        d, c = typecheck_c(g.mor, sig)
+        if isinstance(g.mor, Gen):
+            if g.mor.name not in sig.generators:
+                raise UnknownName(g.mor.name)
+            d, c = sig.generators[g.mor.name]
+        else:
+            d, c, _ = _box_walk(g.mor, sig)
         return (d,), (c,)
     if isinstance(g, Pack):
         return (g.left, g.right), (Tensor(g.left, g.right),)
@@ -214,9 +222,14 @@ def seq_normal_form(t: MorD, sig: Signature) -> SeqNF:
     return SeqNF(dom, _slices(recs, dom))
 
 
-def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, list]:
+@memo_roots
+def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple]:
     """Typecheck ``t`` and list its slices as records ``(pos, gen, gen_dom,
-    gen_cod)``: ``gen`` acts on the wires from index ``pos`` on."""
+    gen_cod)``: ``gen`` acts on the wires from index ``pos`` on.
+
+    The result, records as a tuple, is remembered for the last eight
+    roots walked (see ``terms.memo_roots``), so ``typecheck_d`` and
+    ``normalize_adapters`` on one term walk it once."""
     recs: list = []
 
     def go(u: MorD, shift: int) -> tuple[Wires, Wires]:
@@ -240,7 +253,11 @@ def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, list]:
         return d, c
 
     dom, cod = go(t, 0)
-    return dom, cod, recs
+    return dom, cod, tuple(recs)
+
+
+# ``_records`` remembering no roots
+_record_walk = _records.__wrapped__
 
 
 def _slices(recs, dom: Wires) -> tuple[Slice, ...]:
@@ -480,7 +497,7 @@ def normalize_adapters_with_stats(
     recs = []
     for pos, gen, d, c in given:
         if isinstance(gen, Lift) and not isinstance(gen.mor, Gen):
-            _, _, sub = _records(_expand(gen.mor, sig)[0], sig)
+            _, _, sub = _record_walk(_expand(gen.mor, sig)[0], sig)
             recs += [(pos + p, g, gd, gc) for p, g, gd, gc in sub]
         else:
             recs.append((pos, gen, d, c))

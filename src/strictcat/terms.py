@@ -13,12 +13,14 @@ Orientation conventions, fixed once for the whole package:
 
 ``Comp(f, g)`` is diagrammatic: ``f`` happens first.  Equality of objects
 and terms is syntactic; nothing is normalised implicitly.  All values are
-frozen and safe to share between threads.
+frozen and safe to share between threads, and so is the memo of the typed
+walk (``memo_roots``), which a race can only make miss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from types import MappingProxyType
 from typing import Mapping
 
@@ -261,7 +263,40 @@ def typecheck_c(f: MorC, sig: Signature) -> tuple[ObjC, ObjC]:
     return dom, cod
 
 
-def _boxes(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, list]:
+# How many roots ``memo_roots`` remembers per walk.
+_MEMO_ROOTS = 8
+
+
+def memo_roots(walk):
+    """``walk(t, sig)`` remembering its result for the last few roots.
+
+    A root is matched by the identity of the term and of the signature,
+    both of which the entry holds, so neither id can be reused while it is
+    remembered; terms and signatures are immutable, so the result is the
+    one the walk would give again.  Results must be immutable too.  An
+    error is raised afresh on every call and never stored.  The entries
+    are one tuple, rebound whole, so threads that race on it can lose an
+    entry (a later miss) but never read a wrong one.  The walk itself stays
+    available as ``__wrapped__``, for subterms built on the fly that should
+    not push a caller's roots out.
+    """
+    entries: tuple = ()
+
+    @wraps(walk)
+    def remembered(t, sig):
+        nonlocal entries
+        for entry in entries:
+            if entry[0] is t and entry[1] is sig:
+                return entry[2]
+        out = walk(t, sig)
+        entries = ((t, sig, out),) + entries[:_MEMO_ROOTS - 1]
+        return out
+
+    return remembered
+
+
+@memo_roots
+def _boxes(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
     """Typecheck ``f`` and list its generator boxes on base wires.
 
     Each ``Gen`` node gives a box ``(offset, name, n_in, n_out)``, in
@@ -271,6 +306,10 @@ def _boxes(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, list]:
     Structural nodes flatten to identities and give no box, so this is
     ``f`` as a diagram of the free strict monoidal category on the
     flattened signature.
+
+    The result, boxes as a tuple, is remembered for the last eight roots
+    walked (see ``memo_roots``), so ``typecheck_c``, ``equal_structural``
+    and ``eval_mor`` on one term walk it once.
     """
     gens = sig.generators
     boxes: list = []
@@ -326,7 +365,11 @@ def _boxes(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, list]:
         raise TypeError(t)
 
     dom, cod = go(f, 0)
-    return dom, cod, boxes
+    return dom, cod, tuple(boxes)
+
+
+# ``_boxes`` remembering no roots
+_box_walk = _boxes.__wrapped__
 
 
 def path_to(root, node) -> str:

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from strictcat.terms import (
-    UNIT, Assoc, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitR, chain_c,
+    UNIT, Assoc, Base, Comp, Gen, Id, Tensor, TensorM, TermError, UnitL,
+    UnitLInv, UnitR, UnitRInv, chain_c, typecheck_c,
 )
 from strictcat.strict import (
     Lift, Pack, TensorD, UnitElim, UnitIntro, canonical_d,
@@ -14,7 +15,7 @@ from strictcat.finmodel import (
 )
 from strictcat.generate import random_structural_walk
 
-from conftest import W, X, Y
+from conftest import W, X, Y, Z
 
 
 def test_eval_obj_unit(catw_model):
@@ -167,3 +168,47 @@ def test_generator_tables_match_carrier_draws(demo_sig):
         expected[name] = {x: rng.choice(cod_carrier)
                           for x in eval_obj(dom, model)}
     assert model.gen_tables == expected
+
+
+def test_eval_mor_generator_terms_match_hand_built_tables(demo_sig):
+    # a term with a generator box must be evaluated, even when its only
+    # box sits in the right half of a tensor behind structural nodes
+    model = FinModel(demo_sig, {"x": 2, "y": 3, "z": 2}, seed=9)
+    tf, th, tu = (model.gen_tables[n] for n in ("f", "h", "u"))
+    xs, ys = eval_obj(X, model), eval_obj(Y, model)
+    cases = [
+        (Comp(Assoc(X, X, X), TensorM(Id(Tensor(X, X)), Gen("f"))),
+         Tensor(Tensor(X, X), Y),
+         {Pair(a, Pair(b, c)): Pair(Pair(a, b), tf[c])
+          for a in xs for b in xs for c in xs}),
+        (TensorM(UnitL(X), Comp(UnitRInv(X), TensorM(Gen("f"), Id(UNIT)))),
+         Tensor(X, Tensor(Y, UNIT)),
+         {Pair(Pair(UNIT_ELEM, a), b): Pair(a, Pair(tf[b], UNIT_ELEM))
+          for a in xs for b in xs}),
+        (Comp(Gen("h"), Id(Z)), Z,
+         {Pair(a, b): th[Pair(a, b)] for a in xs for b in ys}),
+        (Comp(UnitLInv(X), TensorM(Gen("u"), Id(X))), Tensor(Y, X),
+         {a: Pair(tu[UNIT_ELEM], a) for a in xs}),
+    ]
+    for f, cod, mapping in cases:
+        table = eval_mor(f, model)
+        assert (table.cod, table.mapping) == (cod, mapping)
+        assert table.dom == typecheck_c(f, demo_sig)[0]
+
+
+@pytest.mark.parametrize("f", [
+    Comp(UnitL(W), UnitL(W)),
+    TensorM(Id(W), Comp(Assoc(W, W, W), Id(W))),
+    Comp(Id(Tensor(W, Base("nope"))), UnitR(W)),
+])
+def test_eval_mor_structural_errors_are_typecheck_errors(f, catw_model):
+    # the identity shortcut needs the ends, so it raises what typecheck_c does
+    def raised(call):
+        with pytest.raises(TermError) as err:
+            call(f)
+        return (type(err.value), str(err.value),
+                getattr(err.value, "position", None))
+
+    for _ in range(2):
+        assert raised(lambda t: eval_mor(t, catw_model)) == \
+            raised(lambda t: typecheck_c(t, catw_model.sig))

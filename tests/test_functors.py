@@ -247,12 +247,14 @@ def test_strictify_expand_typechecks_once(monkeypatch):
     f = nonstrictify(demos.parity_term(12), sig)
     calls = []
 
-    def counting(g, s):
-        calls.append(g)
-        return typecheck_c(g, s)
+    def counting(walk):
+        def call(g, s):
+            calls.append(g)
+            return walk(g, s)
+        return call
 
-    monkeypatch.setattr(functors, "typecheck_c", counting)
-    monkeypatch.setattr(strict, "typecheck_c", counting)
+    monkeypatch.setattr(functors, "typecheck_c", counting(typecheck_c))
+    monkeypatch.setattr(strict, "_box_walk", counting(strict._box_walk))
     strictify_expand(f, sig)
     assert calls == [f]
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
-    UNIT, Comp, Gen, Id, Tensor, TypeMismatch,
+    UNIT, Comp, Gen, Id, Tensor, TypeMismatch, UnknownName,
 )
 from strictcat import demos
 from strictcat.strict import (
@@ -12,7 +12,7 @@ from strictcat.strict import (
     UnitElim, UnitIntro, Unpack, canonical_d, chain_d,
     flatten_wires, invert_d, normalize_adapters,
     normalize_adapters_with_stats, pack_obj, recompose, seq_normal_form,
-    typecheck_d, unpack_obj,
+    typecheck_d, unpack_obj, _records,
 )
 from strictcat.finmodel import eval_mor_d, extensional_equal
 from strictcat.functors import strictify_expand
@@ -413,3 +413,58 @@ def test_normalize_is_idempotent(seed):
     t = random_dmor(sig, 3, seed)
     once = normalize_adapters(t, sig)
     assert normalize_adapters(once, sig) == once
+
+
+# ``_records`` remembers its result for the last few roots, keyed by the
+# identity of both the term and the signature.
+
+
+def test_records_memo_keys_on_term_and_signature(demo_sig, catw_sig):
+    t = CompD(Lift(Gen("f")), Lift(Gen("g")))
+    for _ in range(2):
+        assert typecheck_d(t, demo_sig) == ((X,), (Z,))
+        with pytest.raises(UnknownName) as err:
+            typecheck_d(t, catw_sig)
+        assert err.value.name == "f"
+
+
+def test_records_memo_raises_again_on_an_ill_typed_root(demo_sig):
+    t = TensorD(IdD((X,)), CompD(Pack(X, Y), Pack(X, Y)))
+    raised, errors = [], []
+    for _ in range(2):
+        with pytest.raises(TypeMismatch) as err:
+            typecheck_d(t, demo_sig)
+        raised.append((type(err.value), str(err.value), err.value.position))
+        errors.append(err.value)
+    # raised afresh, not replayed from the memo
+    assert errors[0] is not errors[1]
+    assert raised[0] == raised[1] == (
+        TypeMismatch,
+        "type mismatch at root.right: [(x * y)] composed against [x|y]",
+        "root.right")
+
+
+def test_records_memo_returns_records_no_caller_can_change(demo_sig):
+    t = CompD(Pack(X, Y), Lift(Gen("h")))
+    dom, cod, recs = _records(t, demo_sig)
+    expected = ((0, Pack(X, Y), (X, Y), (Tensor(X, Y),)),
+                (0, Lift(Gen("h")), (Tensor(X, Y),), (Z,)))
+    assert recs == expected
+    with pytest.raises(AttributeError):
+        recs.append(recs[0])
+    # the normaliser rewrites a copy: the remembered records stay as walked
+    normalize_adapters(t, demo_sig)
+    assert _records(t, demo_sig) == ((X, Y), (Z,), expected)
+    assert _records(t, demo_sig)[2] is recs
+
+
+def test_records_of_lift_expansions_keep_the_root_remembered(demo_sig):
+    # each lifted composite expands to a fresh term; walking those through
+    # the memo would push the root out
+    lifted = Lift(Comp(Gen("f"), Gen("g")))
+    t = lifted
+    for _ in range(9):
+        t = TensorD(lifted, t)
+    recs = _records(t, demo_sig)
+    normalize_adapters(t, demo_sig)
+    assert _records(t, demo_sig) is recs

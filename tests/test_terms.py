@@ -1,12 +1,17 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
     UNIT, ArityMismatch, Assoc, Base, Comp, Gen, Id, Tensor, TensorM,
     TermError, TypeMismatch, UnitL, UnitLInv, UnitR, UnknownName, flatten,
-    is_structural, make_signature, objsize, substitute, typecheck_c,
+    _boxes, is_structural, make_signature, objsize, substitute, typecheck_c,
 )
-from strictcat.generate import random_mor, random_obj
+from strictcat.strict import typecheck_d
+from strictcat.finmodel import FinModel, eval_mor
+from strictcat.generate import random_dmor, random_mor, random_obj
 
 from conftest import W, X, Y, Z
 
@@ -167,3 +172,91 @@ def test_signature_is_read_only_and_hashable():
     same = make_signature(["y", "x"], {"f": (X, Y)})
     assert sig == same and hash(sig) == hash(same)
     assert {sig: 1}[same] == 1
+
+
+# The typed walk remembers its result for the last few roots, keyed by the
+# identity of both the term and the signature.
+
+
+def test_memo_keys_on_term_and_signature(demo_sig, catw_sig):
+    # one term object, well typed under one signature and not the other
+    f = Comp(Gen("f"), Gen("g"))
+    for _ in range(2):
+        assert typecheck_c(f, demo_sig) == (X, Z)
+        with pytest.raises(UnknownName) as err:
+            typecheck_c(f, catw_sig)
+        assert err.value.name == "f"
+
+
+def test_memo_raises_again_on_an_ill_typed_root(catw_sig):
+    t = Comp(Id(W), Comp(UnitL(W), UnitL(W)))
+    raised, errors = [], []
+    for _ in range(2):
+        with pytest.raises(TypeMismatch) as err:
+            typecheck_c(t, catw_sig)
+        raised.append((type(err.value), str(err.value), err.value.position))
+        errors.append(err.value)
+    # raised afresh, not replayed from the memo
+    assert errors[0] is not errors[1]
+    assert raised[0] == raised[1] == (
+        TypeMismatch, "type mismatch at root.second: W composed against (I * W)",
+        "root.second")
+
+
+def test_memo_returns_boxes_no_caller_can_change(demo_sig):
+    f = Comp(TensorM(Gen("f"), Id(Y)), TensorM(Id(Y), Gen("g")))
+    dom, cod, boxes = _boxes(f, demo_sig)
+    assert boxes == ((0, "f", 1, 1), (1, "g", 1, 1))
+    with pytest.raises(AttributeError):
+        boxes.append((0, "g", 1, 1))
+    # the second call is answered from the memo, with the same boxes
+    assert _boxes(f, demo_sig) == (dom, cod, ((0, "f", 1, 1), (1, "g", 1, 1)))
+    assert _boxes(f, demo_sig)[2] is boxes
+
+
+def test_typed_walks_shared_between_threads(demo_sig):
+    # each thread walks its own terms, over and over, so roots are both
+    # remembered and pushed out by the other threads; every answer must be
+    # the one a single thread gets
+    model = FinModel(demo_sig, seed=5)
+
+    def answers(seeds):
+        out = []
+        for seed in seeds:
+            f, t = terms[seed]
+            table = eval_mor(f, model)
+            out.append((typecheck_c(f, demo_sig), typecheck_d(t, demo_sig),
+                        table.dom, table.cod, table.table))
+        return out
+
+    seeds = [range(k * 6, k * 6 + 6) for k in range(4)]
+    terms = {seed: (random_mor(demo_sig, 3, seed), random_dmor(demo_sig, 2, seed))
+             for block in seeds for seed in block}
+    expected = [answers(block) for block in seeds]
+    results = [[] for _ in seeds]
+    errors = []
+    start = threading.Barrier(len(seeds))
+
+    def run(k):
+        try:
+            start.wait()
+            for _ in range(40):
+                results[k].append(answers(seeds[k]))
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(seeds))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for k, block in enumerate(results):
+        assert block == [expected[k]] * 40

@@ -133,19 +133,20 @@ def cmd_equal(args) -> dict:
             "detail": verdict.detail}
 
 
-def cmd_render(args) -> dict:
-    sig = _load_signature(args.sig)
-    term = parse_dmor(args.term)
+def _render(args, term, sig: Signature) -> str:
+    """The diagram in ``args.format``; with ``args.out``, written there."""
     diagram = layout(term, sig)
     text = emit_dot(diagram) if args.format == "dot" else emit_svg(diagram)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        output = args.out
-    else:
-        output = text
+    return text
+
+
+def cmd_render(args) -> dict:
+    text = _render(args, parse_dmor(args.term), _load_signature(args.sig))
     return {"command": "render", "input": args.term, "format": args.format,
-            "output": output}
+            "output": args.out or text}
 
 
 def cmd_demo(args) -> dict:
@@ -156,10 +157,7 @@ def cmd_demo(args) -> dict:
     payload = {"command": "demo", "input": f"parity {args.n}",
                "output": show_dmor(term)}
     if args.out:
-        diagram = layout(term, sig)
-        text = emit_dot(diagram) if args.format == "dot" else emit_svg(diagram)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _render(args, term, sig)
         payload["rendered"] = args.out
     return payload
 
@@ -200,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("term")
     p.set_defaults(fn=cmd_nonstrictify)
 
-    p = sub.add_parser("normalize", help="cancel adapters in a strict term")
+    p = sub.add_parser("normalize", help="normal form, read from the diagram")
     common(p)
     p.add_argument("--max-steps", type=int, default=None,
-                   help="bound the cancellations and swaps made on "
+                   help="bound the exchanges and cancellations made on "
                         "lift-bearing terms")
     p.add_argument("term")
     p.set_defaults(fn=cmd_normalize)

@@ -8,7 +8,9 @@ base wires to ``flatten(B)``.  A morphism there is a planar diagram of
 boxes up to interchange (Joyal & Street 1991); structural morphisms have
 no boxes, which is the coherence theorem.  Two parallel terms whose box
 lists reach the same left normal form (Delpeuch & Vicary,
-arXiv:1804.07832) are equal.
+arXiv:1804.07832) are equal.  The normaliser of :mod:`strictcat.strict`
+reads normal forms back from the same routine, ``left_normal_form``, so
+the expansions of two such terms normalise to identical strict terms.
 
 The canonical arrow between two wire sequences with the same flattening
 is ``unpack`` then ``pack`` (see :mod:`strictcat.strict`); this module
@@ -30,8 +32,8 @@ from .terms import (
     objsize, substitute,
 )
 from .strict import (
-    FlatteningMismatch, Lift, MorD, _records, canonical_d, normalize_adapters,
-    pack_obj, unpack_obj,
+    FlatteningMismatch, Lift, MorD, _records, canonical_d, left_normal_form,
+    normalize_adapters, pack_obj, unpack_obj,
 )
 from .functors import nonstrictify, strictify_expand
 from .finmodel import eval_mor, extensional_equal
@@ -75,41 +77,13 @@ def equal_structural(f: MorC, g: MorC, sig: Signature,
     dg, cg, bg = _boxes(g, sig)
     if (df, cf) != (dg, cg):
         return EqVerdict(NOT_EQUAL, "endpoints differ")
-    if _left_normal_form(bf) == _left_normal_form(bg):
+    if left_normal_form(bf)[0] == left_normal_form(bg)[0]:
         return EqVerdict(EQUAL, "identical flattened diagrams")
     if model is not None:
         if extensional_equal(eval_mor(f, model), eval_mor(g, model)):
             return EqVerdict(EQUAL, "extensionally equal in supplied model")
         return EqVerdict(NOT_EQUAL, "distinguished by supplied model")
     return EqVerdict(UNKNOWN, "left normal forms differ; no model given")
-
-
-def _left_normal_form(boxes: list) -> list:
-    """The box list ``boxes`` after left exchanges until none applies.
-
-    A left exchange swaps two consecutive boxes when the later one takes
-    its inputs from wires left of the earlier one's outputs (strict
-    interchange): the later box keeps its offset and the earlier one
-    moves by the later one's change of width.  Each box is inserted in
-    turn and exchanged leftwards as far as it goes, which leaves no
-    exchange applicable, in at most quadratic time.
-
-    When the earlier box has no inputs, the later one no outputs and they
-    touch, the exchange would also apply backwards; such a pair has no
-    canonical order, so it stays as it is.
-    """
-    out: list = []
-    for box in boxes:
-        p2, _, i2, o2 = box
-        j = len(out)
-        while j:
-            p1, name, i1, o1 = out[j - 1]
-            if p2 + i2 > p1 or (p2 + i2 == p1 and i1 == 0 and o2 == 0):
-                break
-            out[j - 1] = (p1 - i2 + o2, name, i1, o1)
-            j -= 1
-        out.insert(j, box)
-    return out
 
 
 def canonical_nat_iso(shape_a: ObjC, shape_b: ObjC,

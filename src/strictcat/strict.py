@@ -11,16 +11,15 @@ the two adapter families (``Pack``/``Unpack`` fuse or split a pair of
 wires, ``UnitIntro``/``UnitElim`` summon or dispel a unit wire),
 identities, composition and tensor.
 
-The rewrite system lives on *sequential normal forms*: every term factors
-into slices ``id ⊗ generator ⊗ id``.  Rewriting runs on position records
-(where each generator starts, no identity wires); a lifted composite's
-record gives way to the records of its expansion, and ``Slice`` objects
-are materialised only when a result needs them.  Reordering slices whose
-supports are disjoint does not change the denoted morphism (strict
-interchange), which the cancellation loop uses to bring inverse adapter
-pairs together; it records each cancellation as a tuple.  A term with no
-lifted generator needs no rewriting: coherence of the adapter fragment
-gives its normal form directly.
+Every term factors into slices ``id ⊗ generator ⊗ id`` (its *sequential
+normal form*), kept as position records (where each generator starts, no
+identity wires) until a result needs ``Slice`` objects.  A term's normal
+form is read back from its diagram: the generator boxes on base wires in
+the left normal form that equality also decides on (strict interchange,
+Delpeuch & Vicary), each box packed, lifted and unpacked at its offset,
+then one more left-insertion pass that cancels inverse adapters it
+brings together.  A term with no lifted generator needs no rewriting:
+coherence of the adapter fragment gives its normal form directly.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from dataclasses import dataclass, field
 from .terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
     TensorM, TermError, TypeMismatch, UnitL, UnitLInv, UnitR, UnitRInv,
-    Unit, UnknownName, _box_walk, flatten, invert_structural, memo_roots,
-    path_to, show_obj,
+    Unit, UnknownName, _box_walk, flatten, invert_structural, is_structural,
+    memo_roots, objsize, path_to, show_obj,
 )
 
 Wires = tuple  # tuple[ObjC, ...]
@@ -256,10 +255,6 @@ def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple]:
     return dom, cod, tuple(recs)
 
 
-# ``_records`` remembering no roots
-_record_walk = _records.__wrapped__
-
-
 def _slices(recs, dom: Wires) -> tuple[Slice, ...]:
     """Replay records from ``dom``, giving each its identity wires."""
     out = []
@@ -335,8 +330,6 @@ def canonical_d(a: Wires, b: Wires) -> MorD:
             f"{show_wires(b)} to {flatten_wires(b)}")
     down = unpack_obj(a)
     up = pack_obj(b)
-    if isinstance(down, IdD) and isinstance(up, IdD):
-        return IdD(a)
     if isinstance(down, IdD):
         return up
     if isinstance(up, IdD):
@@ -345,15 +338,14 @@ def canonical_d(a: Wires, b: Wires) -> MorD:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting
+# Normalisation
 
 @dataclass
 class RewriteStats:
-    """Rewrites actually made: cancelled pairs, swaps and their events.  An
-    adapter-only term is presented without rewriting, so it reports no
-    pairs, no swaps, one event, and never exhausts a step budget.  Events
-    are kept as made, a cancellation as ``(first, second, wire)`` and an
-    adapter-only outcome as text; ``trace`` renders them, one line each."""
+    """What normalising did: ``swaps`` left exchanges; ``cancelled_pairs``
+    adapter pairs saved against the input (half the drop in adapter count,
+    never below 0); ``events`` the normal form's boxes ``(offset, name,
+    n_in, n_out)`` on base wires, or one line for an adapter-only term."""
     cancelled_pairs: int = 0
     swaps: int = 0
     events: list = field(default_factory=list)
@@ -361,15 +353,7 @@ class RewriteStats:
     @property
     def trace(self) -> list[str]:
         return [e if isinstance(e, str) else
-                f"cancel {_gen_name(e[0])}/{_gen_name(e[1])} at wire {e[2]}"
-                for e in self.events]
-
-
-def _tick(stats: RewriteStats, max_steps: int | None) -> None:
-    """Allow one more rewrite, or raise once ``max_steps`` are made."""
-    if max_steps is not None and \
-            stats.cancelled_pairs + stats.swaps >= max_steps:
-        raise RewriteBudgetExceeded("rewrite step budget exhausted")
+                f"lift({e[1]}) at base wire {e[0]}" for e in self.events]
 
 
 def _expand(f: MorC, sig: Signature) -> tuple[MorD, ObjC, ObjC]:
@@ -422,56 +406,94 @@ def _expand(f: MorC, sig: Signature) -> tuple[MorD, ObjC, ObjC]:
     raise TypeError(f)
 
 
-def _cancel_and_slide(recs: list, max_steps: int | None,
-                      stats: RewriteStats) -> list:
-    """Cancel adjacent inverse adapters at one position, then swap
-    adjacent records whose second acts strictly left of the first (strict
-    interchange); repeat.  Only left moves are taken, so the records end
-    ordered by position."""
-    changed = True
-    # Every term measured so far (benchmark walks and their round trips,
-    # random strict terms, the demos) settled within n + 1 rounds for n
-    # records; running past this guard means the schedule failed to settle.
-    guard = (len(recs) + 2) ** 2 + 16
-    while changed:
-        changed = False
-        i = 0
-        while i < len(recs) - 1:
-            p1, g1, _, _ = recs[i]
-            p2, g2, _, _ = recs[i + 1]
-            if p1 == p2 and _INVERSE.get(type(g1)) is type(g2) \
-                    and vars(g1) == vars(g2):
-                _tick(stats, max_steps)
-                stats.cancelled_pairs += 1
-                stats.events.append((g1, g2, p1))
-                del recs[i:i + 2]
-                i = max(i - 1, 0)
-                changed = True
-            else:
-                i += 1
-        for i in range(len(recs) - 1):
-            p1, g1, d1, c1 = recs[i]
-            p2, _, d2, c2 = recs[i + 1]
-            if p2 + len(d2) <= p1:
-                _tick(stats, max_steps)
-                stats.swaps += 1
-                recs[i] = recs[i + 1]
-                recs[i + 1] = (p1 + len(c2) - len(d2), g1, d1, c1)
-                changed = True
-        guard -= 1
-        if changed and guard <= 0:
-            raise RewriteBudgetExceeded("cancel/slide loop did not settle")
-    return recs
+def left_normal_form(items, cancels=None, max_steps: int | None = None,
+                     steps: int = 0) -> tuple[list, int]:
+    """``items`` after left exchanges until none applies, and ``steps``
+    plus the steps taken: exchanges and cancellations, at most
+    ``max_steps`` in all, or ``RewriteBudgetExceeded`` is raised.
+
+    An item ``(offset, payload, n_in, n_out)`` takes ``n_in`` wires from
+    ``offset`` on and puts ``n_out`` in their place.  A left exchange
+    swaps two consecutive items when the later one takes its inputs from
+    wires left of the earlier one's outputs (strict interchange): the
+    later item keeps its offset and the earlier one moves by the later
+    one's change of width.  Each item is inserted in turn and exchanged
+    leftwards as far as it goes, in at most quadratic time; two items met
+    at one offset whose payloads satisfy ``cancels`` are both dropped.
+    When the earlier item has no inputs, the later one no outputs and they
+    touch, the exchange would also apply backwards; such a pair has no
+    canonical order, so it stays as it is.
+    """
+    out: list = []
+    for item in items:
+        p2, x2, i2, o2 = item
+        j, cancel = len(out), False
+        while j:
+            p1, x1, i1, o1 = out[j - 1]
+            cancel = p1 == p2 and cancels is not None and cancels(x1, x2)
+            if not cancel and (p2 + i2 > p1 or
+                               (p2 + i2 == p1 and i1 == 0 and o2 == 0)):
+                break
+            if max_steps is not None and steps >= max_steps:
+                raise RewriteBudgetExceeded("rewrite step budget exhausted")
+            steps += 1
+            if cancel:
+                del out[j - 1]
+                break
+            out[j - 1] = (p1 - i2 + o2, x1, i1, o1)
+            j -= 1
+        if not cancel:
+            out.insert(j, item)
+    return out, steps
 
 
-def _gen_name(g: MorD) -> str:
-    if isinstance(g, Pack):
-        return f"pack[{show_obj(g.left)},{show_obj(g.right)}]"
-    if isinstance(g, Unpack):
-        return f"unpack[{show_obj(g.left)},{show_obj(g.right)}]"
-    if isinstance(g, UnitIntro):
-        return "unit+"
-    return "unit-"
+def _base_boxes(dom: Wires, recs, sig: Signature) -> list:
+    """The generator boxes of ``recs`` replayed from ``dom``, on base wires
+    as ``terms._boxes`` lists them: each lifted morphism gives its own."""
+    widths = [objsize(x) for x in dom]
+    boxes: list = []
+    for pos, gen, d, c in recs:
+        if isinstance(gen, Lift):
+            at = sum(widths[:pos])
+            boxes += [(at + p, name, i, o)
+                      for p, name, i, o in _box_walk(gen.mor, sig)[2]]
+        if isinstance(gen, Pack):
+            widths[pos:pos + 2] = [widths[pos] + widths[pos + 1]]
+        else:
+            widths[pos:pos + len(d)] = [objsize(x) for x in c]
+    return boxes
+
+
+def _packing_items(x: Wires, up: bool, at: int, out: list) -> None:
+    """Append the records of ``pack_obj(x)``, or of ``unpack_obj(x)`` when
+    not ``up``, moved to ``at``, as ``left_normal_form`` items."""
+    for label in x:
+        if isinstance(label, Unit):
+            out.append((at, (UnitIntro(), (), (label,)), 0, 1) if up else
+                       (at, (UnitElim(), (label,), ()), 1, 0))
+        elif isinstance(label, Tensor):
+            halves = (label.left, label.right)
+            if not up:
+                out.append((at, (Unpack(*halves), (label,), halves), 1, 2))
+            _packing_items(halves, up, at, out)
+            if up:
+                out.append((at, (Pack(*halves), halves, (label,)), 2, 1))
+        at += 1 if up else objsize(label)
+
+
+def _read_back(dom: Wires, cod: Wires, boxes, sig: Signature) -> list:
+    """Items of ``unpack_obj(dom)``, then of ``pack_obj((d,)) ; lift(g) ;
+    unpack_obj((c,))`` for each box ``g : d -> c`` at its base offset, then
+    of ``pack_obj(cod)``, at the positions their records have."""
+    items: list = []
+    _packing_items(dom, False, 0, items)
+    for at, name, _, _ in boxes:
+        d, c = sig.generators[name]
+        _packing_items((d,), True, at, items)
+        items.append((at, (Lift(Gen(name)), (d,), (c,)), 1, 1))
+        _packing_items((c,), False, at, items)
+    _packing_items(cod, True, 0, items)
+    return items
 
 
 def normalize_adapters(t: MorD, sig: Signature,
@@ -483,27 +505,33 @@ def normalize_adapters(t: MorD, sig: Signature,
 def normalize_adapters_with_stats(
         t: MorD, sig: Signature,
         max_steps: int | None = None) -> tuple[MorD, RewriteStats]:
-    """Normalise ``t``: slice, expand lifted composites, cancel adapters.
+    """Normalise ``t`` to a function of its endpoints and its diagram.
 
-    Adapter-only terms are presented canonically without rewriting: the
-    identity when the endpoints coincide, otherwise ``unpack(dom) ;
-    pack(cod)``.  Coherence of the adapter fragment (every adapter-only
-    arrow equals the canonical one) licenses this.  Only when a lifted
-    generator remains does the cancel/swap loop run, bounded by
-    ``max_steps``; the result is recomposed from its slices.
+    A term with no lifted generator is presented canonically, without
+    rewriting: the identity when the endpoints coincide, otherwise
+    ``unpack(dom) ; pack(cod)``, as coherence of the adapter fragment
+    allows.  Any other term is read back from the left normal form of its
+    boxes on base wires, the one ``equal_structural`` compares, and one
+    more left insertion cancels inverse adapters it brings together.
+    ``max_steps`` bounds the exchanges and cancellations of both passes.
     """
     stats = RewriteStats()
-    dom, cod, given = _records(t, sig)
-    recs = []
-    for pos, gen, d, c in given:
-        if isinstance(gen, Lift) and not isinstance(gen.mor, Gen):
-            _, _, sub = _record_walk(_expand(gen.mor, sig)[0], sig)
-            recs += [(pos + p, g, gd, gc) for p, g, gd, gc in sub]
-        else:
-            recs.append((pos, gen, d, c))
-    if any(isinstance(gen, Lift) for _, gen, _, _ in recs):
-        recs = _cancel_and_slide(recs, max_steps, stats)
-        return recompose(_slices(recs, dom), dom), stats
+    dom, cod, recs = _records(t, sig)
+    if any(isinstance(g, Lift) and not is_structural(g.mor)
+           for _, g, _, _ in recs):
+        boxes, steps = left_normal_form(_base_boxes(dom, recs, sig), None,
+                                        max_steps)
+        items = _read_back(dom, cod, boxes, sig)
+        # items met at one offset compose, so their types decide a cancel
+        out, steps = left_normal_form(
+            items, lambda a, b: _INVERSE.get(type(a[0])) is type(b[0]),
+            max_steps, steps)
+        out = [(p, *x) for p, x, _, _ in out]
+        stats.swaps = steps - (len(items) - len(out)) // 2
+        drop = sum(not isinstance(r[1], Lift) for r in recs) + len(boxes)
+        stats.cancelled_pairs = max(drop - len(out), 0) // 2
+        stats.events = boxes
+        return recompose(_slices(out, dom), dom), stats
     if dom == cod:
         stats.events.append("adapter-only endpoints coincide: identity")
         return IdD(dom), stats

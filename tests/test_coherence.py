@@ -8,16 +8,18 @@ from strictcat.terms import (
     UNIT, Assoc, Base, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitR,
     is_structural, make_signature, objsize, typecheck_c,
 )
-from strictcat.strict import CompD, IdD, Lift, canonical_d
+from strictcat.strict import CompD, IdD, Lift, canonical_d, normalize_adapters
 from strictcat.coherence import (
     EQUAL, NOT_EQUAL, UNKNOWN, PreconditionError, canonical_nat_iso,
     equal_structural, fg_singleton_check,
 )
-from strictcat.functors import nonstrictify
-from strictcat.finmodel import FinModel, eval_mor, extensional_equal
+from strictcat.functors import nonstrictify, strictify_expand
+from strictcat.finmodel import (
+    FinModel, eval_mor, eval_mor_d, extensional_equal,
+)
 from strictcat.generate import (
-    enumerate_catw_objects, random_mor_from, random_singleton_adapter_term,
-    random_structural_walk,
+    enumerate_catw_objects, random_dmor, random_mor_from,
+    random_singleton_adapter_term, random_structural_walk,
 )
 from strictcat.syntax import parse_cmor
 
@@ -137,6 +139,56 @@ def test_interchange_pairs_are_equal(demo_sig, seed):
     for other in (TensorM(a, b), Comp(TensorM(Id(a1), b), TensorM(a, Id(b2)))):
         assert equal_structural(split, other, demo_sig).kind == EQUAL
         assert equal_structural(other, split, demo_sig).kind == EQUAL
+
+
+def _normal_form(f, sig):
+    return normalize_adapters(strictify_expand(f, sig), sig)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    # u ; g, with its unit wires bracketed two ways
+    ("lambda[I] ; u ; g ; lambda'[z]",
+     "lambda'[(I * I)] ; id[I] (*) (lambda[I] ; u ; g)"),
+    # two boxes side by side, applied in either order
+    ("(rho[x] ; (f ; rho'[y])) (*) id[y] ; id[(y * I)] (*) (g ; lambda'[z])",
+     "id[(x * I)] (*) (g ; lambda'[z]) ; "
+     "(rho[x] ; (f ; rho'[y])) (*) id[(I * z)]"),
+    # two boxes with no inputs in either order: the read-back alone, without
+    # the left normal form of the boxes, would keep both orders
+    ("u (*) id[I] ; id[y] (*) u", "id[I] (*) u ; u (*) id[y]"),
+])
+def test_equal_pairs_normalise_identically(demo_sig, lhs, rhs):
+    f, g = parse_cmor(lhs), parse_cmor(rhs)
+    assert equal_structural(f, g, demo_sig).kind == EQUAL
+    assert _normal_form(f, demo_sig) == _normal_form(g, demo_sig)
+
+
+@given(st.integers(0, 2 ** 30))
+@settings(max_examples=60, deadline=None)
+def test_normalisation_idempotent_and_keeps_table(demo_sig, demo_model, seed):
+    rng = random.Random(seed)
+    f = random_mor_from(demo_sig, rng.choice(GEN_DOMS), 4, rng)
+    for t in (strictify_expand(f, demo_sig), random_dmor(demo_sig, 3, seed)):
+        out = normalize_adapters(t, demo_sig)
+        assert normalize_adapters(out, demo_sig) == out
+        assert extensional_equal(eval_mor_d(out, demo_model),
+                                 eval_mor_d(t, demo_model))
+
+
+@given(st.integers(0, 2 ** 30))
+@settings(max_examples=60, deadline=None)
+def test_equal_exactly_when_normal_forms_agree(demo_sig, seed):
+    # random terms from one domain, and an interchange pair among them
+    rng = random.Random(seed)
+    dom = rng.choice(GEN_DOMS)
+    terms = [random_mor_from(demo_sig, dom, 4, rng) for _ in range(3)]
+    a, b = terms[0], random_mor_from(demo_sig, rng.choice(GEN_DOMS), 3, rng)
+    (a1, a2), (b1, b2) = typecheck_c(a, demo_sig), typecheck_c(b, demo_sig)
+    terms += [TensorM(a, b), Comp(TensorM(a, Id(b1)), TensorM(Id(a2), b))]
+    forms = [_normal_form(f, demo_sig) for f in terms]
+    for i, j in itertools.combinations(range(len(terms)), 2):
+        verdict = equal_structural(terms[i], terms[j], demo_sig)
+        assert verdict.is_equal == (forms[i] == forms[j])
 
 
 def test_parallel_structural_pairs_equal_and_oracle_agrees(

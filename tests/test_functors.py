@@ -283,7 +283,7 @@ def test_strictify_expand_pinned(demo_sig):
 def test_normalize_lifts_pinned(demo_sig):
     # normal form, counts and trace of each input lifted one wire to the
     # right of an identity, and of random strict terms whose lifts sit at
-    # random wires: every composite lift is replaced by its expansion
+    # random wires: every composite lift gives its boxes to the read-back
     def cases():
         for f, sig in _pin_inputs(demo_sig):
             dom, _ = typecheck_c(f, sig)
@@ -295,4 +295,4 @@ def test_normalize_lifts_pinned(demo_sig):
         out, stats = normalize_adapters_with_stats(t, sig)
         return out, stats.cancelled_pairs, stats.swaps, stats.trace
 
-    assert _digest(key(t, sig) for t, sig in cases()) == "186245b5e8214311"
+    assert _digest(key(t, sig) for t, sig in cases()) == "31ad7bceb64030c5"

@@ -237,7 +237,7 @@ def test_normalize_random_walks_reach_canonical(catw_sig, rng):
 
 
 def _pack_lift_unpack():
-    # one swap moves the unpack left of lift(g), one cancel removes the pair
+    # a pack/unpack pair left of lift(g), on wires the generator never touches
     return chain_d(
         TensorD(Pack(X, Y), IdD((Y,))),
         TensorD(IdD((Tensor(X, Y),)), Lift(Gen("g"))),
@@ -299,11 +299,18 @@ def test_normalize_rejects_ill_typed_lift(demo_sig):
 
 
 def test_normalize_budget_is_enforced(demo_sig):
-    t = _pack_lift_unpack()
-    with pytest.raises(RewriteBudgetExceeded):
-        normalize_adapters(t, demo_sig, max_steps=1)
-    _, stats = normalize_adapters_with_stats(t, demo_sig, max_steps=2)
-    assert (stats.cancelled_pairs, stats.swaps) == (1, 1)
+    # three steps: lift(g) exchanges left of lift(h) among the boxes; in the
+    # read-back it exchanges left of the unpack of the domain, which then
+    # meets the pack before lift(h) and cancels with it
+    t = CompD(TensorD(IdD((Y,)), Lift(Gen("h"))),
+              TensorD(Lift(Gen("g")), IdD((Z,))))
+    for budget in (1, 2):
+        with pytest.raises(RewriteBudgetExceeded):
+            normalize_adapters(t, demo_sig, max_steps=budget)
+    out, stats = normalize_adapters_with_stats(t, demo_sig, max_steps=3)
+    assert (stats.cancelled_pairs, stats.swaps) == (0, 2)
+    assert out == CompD(TensorD(Lift(Gen("g")), IdD((Tensor(X, Y),))),
+                        TensorD(IdD((Z,)), Lift(Gen("h"))))
 
 
 def test_normalize_adapter_only_ignores_budget(catw_sig, rng):
@@ -347,15 +354,15 @@ def test_normalize_lift_walk_interchange_stats_pinned(catw_sig, seed):
                              catw_sig) == (IdD(dom), 0, 0, IDENTITY_TRACE)
 
 
-# (cancelled_pairs, swaps, first 16 hex digits of the SHA-256 of the trace
-# joined by newlines) of the cancel/swap loop on lift-bearing terms: a walk,
-# the canonical arrow back, lift(g) on the middle wire, and a second walk.
+# (cancelled_pairs, swaps, first 16 hex digits of the SHA-256 of the repr
+# of the normal form and its trace) on lift-bearing terms: a walk, the
+# canonical arrow back, lift(g) on the middle wire, and a second walk.
 LIFT_BEARING_STATS = {
-    0: (41, 1493, "78792b00dc558f89"),
-    1: (43, 1338, "345bc1895d397e46"),
-    2: (46, 993, "a1b1c8357388f802"),
-    3: (46, 1845, "7b65cbbbba414e81"),
-    4: (37, 993, "1697de7d4215c05e"),
+    0: (23, 4, "1fc9eaeeb6936fe7"),
+    1: (23, 19, "bac9af43827b26d8"),
+    2: (22, 9, "16902ba26b26c6ad"),
+    3: (20, 6, "2a123cb542395ba1"),
+    4: (27, 2, "69e4472333f0ee96"),
 }
 
 
@@ -369,8 +376,9 @@ def test_normalize_lift_bearing_stats_pinned(demo_sig, seed):
     t = chain_d(first, canonical_d(mid, (X, Y, Z)),
                 TensorD(IdD((X,)), TensorD(Lift(Gen("g")), IdD((Z,)))),
                 second)
-    _, stats = normalize_adapters_with_stats(t, demo_sig)
-    digest = hashlib.sha256("\n".join(stats.trace).encode()).hexdigest()
+    out, stats = normalize_adapters_with_stats(t, demo_sig)
+    assert stats.trace == ["lift(g) at base wire 1"]
+    digest = hashlib.sha256(repr((out, stats.trace)).encode()).hexdigest()
     assert (stats.cancelled_pairs, stats.swaps, digest[:16]) == \
         LIFT_BEARING_STATS[seed]
 

@@ -484,14 +484,19 @@ def _packing_items(x: Wires, up: bool, at: int, out: list) -> None:
 def _read_back(dom: Wires, cod: Wires, boxes, sig: Signature) -> list:
     """Items of ``unpack_obj(dom)``, then of ``pack_obj((d,)) ; lift(g) ;
     unpack_obj((c,))`` for each box ``g : d -> c`` at its base offset, then
-    of ``pack_obj(cod)``, at the positions their records have."""
+    of ``pack_obj(cod)``, at the positions their records have.  Each
+    generator's items are built once, at offset 0, and shifted."""
     items: list = []
     _packing_items(dom, False, 0, items)
+    made: dict = {}
     for at, name, _, _ in boxes:
-        d, c = sig.generators[name]
-        _packing_items((d,), True, at, items)
-        items.append((at, (Lift(Gen(name)), (d,), (c,)), 1, 1))
-        _packing_items((c,), False, at, items)
+        if name not in made:
+            d, c = sig.generators[name]
+            made[name] = box = []
+            _packing_items((d,), True, 0, box)
+            box.append((0, (Lift(Gen(name)), (d,), (c,)), 1, 1))
+            _packing_items((c,), False, 0, box)
+        items += [(p + at, x, i, o) for p, x, i, o in made[name]]
     _packing_items(cod, True, 0, items)
     return items
 

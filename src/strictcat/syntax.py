@@ -12,6 +12,17 @@ Grammar summary (see README for the full table):
 
 ``;`` and ``(*)`` associate to the left; printing re-parenthesises
 right-nested children, so parse(show(t)) == t for every term.
+
+Each text is tokenized by one ``findall`` of a master pattern whose last
+alternative catches any other character, and parsed without recursion.
+Terms are read by one precedence loop that reduces each ``;`` and ``(*)``
+as soon as its right operand is complete; an open ``(`` or ``lift(``
+pushes the pending operands on an explicit stack, and ``lift(`` switches
+to the base language until its ``)``.  Objects and wire lists are reduced
+on a stack of open ``(``.  Within one call, equal names share one
+``Base`` or ``Gen`` leaf.  A position is worked out only when a text is
+rejected, by scanning it again; an unexpected character anywhere in the
+text is reported ahead of any grammar error.
 """
 
 from __future__ import annotations
@@ -36,231 +47,217 @@ class ParseError(TermError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<WS>\s+)
-  | (?P<OTIMES>\(\*\))
-  | (?P<UNITINTRO>unit\+)
-  | (?P<UNITELIM>unit-(?![A-Za-z0-9_]))
-  | (?P<ARROW>->)
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*'?)
-  | (?P<LP>\()
-  | (?P<RP>\))
-  | (?P<LB>\[)
-  | (?P<RB>\])
-  | (?P<COMMA>,)
-  | (?P<SEMI>;)
-  | (?P<PIPE>\|)
-  | (?P<STAR>\*)
-""", re.VERBOSE)
+_TOKENS = (r"\(\*\)|unit\+|unit-(?![A-Za-z0-9_])|->|[A-Za-z_][A-Za-z0-9_]*'?"
+           r"|[()\[\],;|*]")
+# The catch-all makes every other character a token of its own, so findall
+# skips exactly the whitespace; the scan for errors captures it to name it.
+_TOKEN_RE = re.compile(_TOKENS + r"|\S")
+_SCAN_RE = re.compile(_TOKENS + r"|(\S)")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'?\Z").match
+
+_C_ATOMS = {"id": (Id, 1), "alpha": (Assoc, 3), "alpha'": (AssocInv, 3),
+            "lambda": (UnitL, 1), "lambda'": (UnitLInv, 1),
+            "rho": (UnitR, 1), "rho'": (UnitRInv, 1)}
+_D_ATOMS = {"pack": (Pack, 2), "unpack": (Unpack, 2)}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            line = text.count("\n", 0, pos) + 1
-            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        if kind != "WS":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+class _Reject(Exception):
+    """A grammar error at a token index, placed in the text by ``_run``."""
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
+def _expected(kind: str, toks: list, i: int) -> _Reject:
+    return _Reject(i, f"expected {kind}, found {toks[i] or 'end of input'!r}")
 
-    def peek(self) -> str:
-        return self.tokens[self.index][0]
 
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str) -> str:
-        tok_kind, value, _ = self.tokens[self.index]
-        if tok_kind != kind:
-            found = value if value else "end of input"
-            self.fail(f"expected {kind}, found {found!r}")
-        self.index += 1
-        return value
-
-    def fail(self, message: str):
-        _, value, pos = self.tokens[self.index]
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        raise ParseError(message, line, col)
-
-    def at_end(self) -> bool:
-        return self.peek() == "EOF"
-
-    # -- objects ------------------------------------------------------------
-
-    def obj(self) -> ObjC:
-        if self.peek() == "LP":
-            self.next()
-            left = self.obj()
-            self.expect("STAR")
-            right = self.obj()
-            self.expect("RP")
-            return Tensor(left, right)
-        if self.peek() == "NAME":
-            name = self.next()[1]
-            if name == "I":
-                return UNIT
-            if name.endswith("'"):
-                self.fail(f"unexpected primed name {name!r} in object")
-            return Base(name)
-        self.fail("expected an object")
-
-    def wires(self) -> Wires:
-        if self.peek() == "RB":
-            return ()
-        out = [self.obj()]
-        while self.peek() == "PIPE":
-            self.next()
-            out.append(self.obj())
-        return tuple(out)
-
-    # -- base-category morphisms ---------------------------------------------
-
-    def cmor(self) -> MorC:
-        out = self.cten()
-        while self.peek() == "SEMI":
-            self.next()
-            out = Comp(out, self.cten())
+def _run(text: str, parse, *args, tail: str = "trailing input"):
+    """``parse`` over the tokens of ``text``, which it must use up, or the
+    ``ParseError`` of the rejection, placed by scanning ``text`` again."""
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")
+    try:
+        out, i = parse(toks, 0, {"I": UNIT}, *args)
+        if toks[i]:
+            raise _Reject(i, tail)
         return out
-
-    def cten(self) -> MorC:
-        out = self.catom()
-        while self.peek() == "OTIMES":
-            self.next()
-            out = TensorM(out, self.catom())
-        return out
-
-    def catom(self) -> MorC:
-        if self.peek() == "LP":
-            self.next()
-            out = self.cmor()
-            self.expect("RP")
-            return out
-        if self.peek() != "NAME":
-            self.fail("expected a morphism")
-        name = self.next()[1]
-        if name in ("alpha", "alpha'"):
-            a, b, c = self._obj_args(3)
-            return Assoc(a, b, c) if name == "alpha" else AssocInv(a, b, c)
-        if name in ("lambda", "lambda'"):
-            (a,) = self._obj_args(1)
-            return UnitL(a) if name == "lambda" else UnitLInv(a)
-        if name in ("rho", "rho'"):
-            (a,) = self._obj_args(1)
-            return UnitR(a) if name == "rho" else UnitRInv(a)
-        if name == "id":
-            (a,) = self._obj_args(1)
-            return Id(a)
-        if name.endswith("'"):
-            self.fail(f"unknown primed morphism {name!r}")
-        return Gen(name)
-
-    def _obj_args(self, n: int) -> list[ObjC]:
-        self.expect("LB")
-        args = [self.obj()]
-        while self.peek() == "COMMA":
-            self.next()
-            args.append(self.obj())
-        self.expect("RB")
-        if len(args) != n:
-            self.fail(f"expected {n} object argument(s), got {len(args)}")
-        return args
-
-    # -- strict-category morphisms --------------------------------------------
-
-    def dmor(self) -> MorD:
-        out = self.dten()
-        while self.peek() == "SEMI":
-            self.next()
-            out = CompD(out, self.dten())
-        return out
-
-    def dten(self) -> MorD:
-        out = self.datom()
-        while self.peek() == "OTIMES":
-            self.next()
-            out = TensorD(out, self.datom())
-        return out
-
-    def datom(self) -> MorD:
-        kind = self.peek()
-        if kind == "UNITINTRO":
-            self.next()
-            return UnitIntro()
-        if kind == "UNITELIM":
-            self.next()
-            return UnitElim()
-        if kind == "LP":
-            self.next()
-            out = self.dmor()
-            self.expect("RP")
-            return out
-        if kind != "NAME":
-            self.fail("expected a strict morphism")
-        name = self.next()[1]
-        if name == "pack":
-            a, b = self._obj_args(2)
-            return Pack(a, b)
-        if name == "unpack":
-            a, b = self._obj_args(2)
-            return Unpack(a, b)
-        if name == "lift":
-            self.expect("LP")
-            inner = self.cmor()
-            self.expect("RP")
-            return Lift(inner)
-        if name == "idD":
-            self.expect("LB")
-            w = self.wires()
-            self.expect("RB")
-            return IdD(w)
-        self.fail(f"unknown strict morphism {name!r}")
+    except _Reject as e:
+        k, message = e.args
+    pos = len(text)
+    for n, m in enumerate(_SCAN_RE.finditer(text)):
+        if m.group(1):
+            message, pos = f"unexpected character {m.group(1)!r}", m.start()
+            break
+        if n == k:
+            pos = m.start()
+    line = text.count("\n", 0, pos) + 1
+    raise ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-def _run(parser_method, text: str):
-    p = _Parser(text)
-    out = parser_method(p)
-    if not p.at_end():
-        p.fail("trailing input")
-    return out
+def _obj(toks: list, i: int, bases: dict):
+    """The object at ``toks[i]`` and the index after it.  ``stack`` holds
+    None for each open ``(``, and its left operand once ``*`` is read."""
+    stack = []
+    while True:
+        tok = toks[i]
+        if tok == "(":
+            stack.append(None)
+            i += 1
+            continue
+        out = bases.get(tok)
+        if out is None:
+            if not _NAME(tok):
+                raise _Reject(i, "expected an object")
+            if tok[-1] == "'":
+                raise _Reject(i + 1,
+                              f"unexpected primed name {tok!r} in object")
+            out = bases[tok] = Base(tok)
+        i += 1
+        while stack:
+            left = stack[-1]
+            if left is None:
+                if toks[i] != "*":
+                    raise _expected("STAR", toks, i)
+                stack[-1] = out
+                i += 1
+                break
+            if toks[i] != ")":
+                raise _expected("RP", toks, i)
+            stack.pop()
+            out = Tensor(left, out)
+            i += 1
+        else:
+            return out, i
+
+
+def _objs(toks: list, i: int, bases: dict, sep: str):
+    """Objects joined by ``sep`` from ``toks[i]``, and the index after."""
+    out = []
+    while True:
+        a = bases.get(toks[i])  # a leaf seen before needs no stack
+        if a is None:
+            a, i = _obj(toks, i, bases)
+        else:
+            i += 1
+        out.append(a)
+        if toks[i] != sep:
+            return out, i
+        i += 1
+
+
+def _wires(toks: list, i: int, bases: dict, ends=("]",)):
+    if toks[i] in ends:
+        return (), i
+    out, i = _objs(toks, i, bases, "|")
+    return tuple(out), i
+
+
+def _args(toks: list, i: int, bases: dict, n: int | None):
+    """The ``n`` objects of ``[A,B,...]`` at ``toks[i]``, or the wires of
+    ``[A|B|...]`` when ``n`` is None, and the index after the ``]``."""
+    if toks[i] != "[":
+        raise _expected("LB", toks, i)
+    if n is None:
+        out, i = _wires(toks, i + 1, bases)
+    else:
+        out, i = _objs(toks, i + 1, bases, ",")
+    if toks[i] != "]":
+        raise _expected("RB", toks, i)
+    if n is not None and len(out) != n:
+        raise _Reject(i + 1,
+                      f"expected {n} object argument(s), got {len(out)}")
+    return out, i + 1
+
+
+def _mor(toks: list, i: int, bases: dict, strict: bool):
+    """The term at ``toks[i]``, strict when ``strict``, and the index after
+    it.  ``;`` and ``(*)`` associate to the left, so each is reduced as soon
+    as its right operand is read: ``semi`` and ``tens`` hold the pending left
+    operands, and each open ``(`` or ``lift(`` pushes them with the language
+    outside it; closing a ``lift(`` returns to the strict language."""
+    gens: dict = {}
+    stack = []
+    semi = tens = None
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == "(" or tok == "lift" and strict:
+            stack.append((semi, tens, strict))
+            semi = tens = None
+            if tok == "lift":
+                if toks[i] != "(":
+                    raise _expected("LP", toks, i)
+                strict = False
+                i += 1
+            continue
+        atom = (_D_ATOMS if strict else _C_ATOMS).get(tok)
+        if atom is not None:
+            args, i = _args(toks, i, bases, atom[1])
+            out = atom[0](*args)
+        elif not strict:
+            out = gens.get(tok)
+            if out is None:
+                if not _NAME(tok):
+                    raise _Reject(i - 1, "expected a morphism")
+                if tok[-1] == "'":
+                    raise _Reject(i, f"unknown primed morphism {tok!r}")
+                out = gens[tok] = Gen(tok)
+        elif tok == "idD":
+            wires, i = _args(toks, i, bases, None)
+            out = IdD(wires)
+        elif tok == "unit+":
+            out = UnitIntro()
+        elif tok == "unit-":
+            out = UnitElim()
+        elif _NAME(tok):
+            raise _Reject(i, f"unknown strict morphism {tok!r}")
+        else:
+            raise _Reject(i - 1, "expected a strict morphism")
+        while True:
+            if tens is not None:
+                out = (TensorD if strict else TensorM)(tens, out)
+            tok = toks[i]
+            if tok == "(*)":
+                tens = out
+                i += 1
+                break
+            tens = None
+            if semi is not None:
+                out = (CompD if strict else Comp)(semi, out)
+            if tok == ";":
+                semi = out
+                i += 1
+                break
+            if not stack:
+                return out, i
+            if tok != ")":
+                raise _expected("RP", toks, i)
+            i += 1
+            semi, tens, outer = stack.pop()
+            if outer != strict:
+                out, strict = Lift(out), outer
+
+
+def _gen_type(toks: list, i: int, bases: dict):
+    dom, i = _obj(toks, i, bases)
+    if toks[i] != "->":
+        raise _expected("ARROW", toks, i)
+    cod, i = _obj(toks, i + 1, bases)
+    return (dom, cod), i
 
 
 def parse_obj(text: str) -> ObjC:
-    return _run(_Parser.obj, text)
+    return _run(text, _obj)
 
 
 def parse_cmor(text: str) -> MorC:
-    return _run(_Parser.cmor, text)
+    return _run(text, _mor, False)
 
 
 def parse_dmor(text: str) -> MorD:
-    return _run(_Parser.dmor, text)
+    return _run(text, _mor, True)
 
 
 def parse_wires(text: str) -> Wires:
-    p = _Parser(text)
-    if p.at_end():
-        return ()
-    out = p.wires()
-    if not p.at_end():
-        p.fail("trailing input")
-    return out
+    return _run(text, _wires, ("]", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +348,11 @@ def parse_signature(text: str) -> Signature:
         m = _GEN_LINE.match(line)
         if m:
             name, type_text = m.groups()
-            q = _Parser(type_text)
-            dom = q.obj()
-            q.expect("ARROW")
-            cod = q.obj()
-            if not q.at_end():
-                q.fail("trailing input after generator type")
+            ends = _run(type_text, _gen_type,
+                        tail="trailing input after generator type")
             if name in gens:
                 raise ParseError(f"duplicate generator {name!r}", lineno, 1)
-            gens[name] = (dom, cod)
+            gens[name] = ends
             continue
         raise ParseError("expected 'obj NAME' or 'gen NAME : A -> B'",
                          lineno, 1)

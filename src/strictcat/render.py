@@ -36,7 +36,19 @@ class DiagramLayout:
     columns: tuple[ColumnLayout, ...]
 
 
-def _column_of(index: int, s: Slice) -> ColumnLayout:
+class _Shown(dict):
+    """Wire labels shown so far, by node: labels are interned, so each
+    distinct label is shown once however many wires carry it."""
+
+    def __missing__(self, label):
+        text = self[label] = show_obj(label)
+        return text
+
+    def wires(self, w) -> tuple[str, ...]:
+        return tuple(map(self.__getitem__, w))
+
+
+def _column_of(index: int, s: Slice, shown: _Shown) -> ColumnLayout:
     gen = s.gen
     if isinstance(gen, Lift):
         kind, label = "generator", show_cmor(gen.mor)
@@ -53,17 +65,15 @@ def _column_of(index: int, s: Slice) -> ColumnLayout:
     return ColumnLayout(
         index=index, kind=kind, label=label, pos=len(s.left),
         n_in=len(s.gen_dom), n_out=len(s.gen_cod),
-        wires_in=tuple(show_obj(w) for w in s.dom),
-        wires_out=tuple(show_obj(w) for w in s.cod))
+        wires_in=shown.wires(s.dom), wires_out=shown.wires(s.cod))
 
 
 def layout(t: MorD, sig: Signature) -> DiagramLayout:
     """Columns of the diagram of ``t``: its sequential normal form."""
     nf = seq_normal_form(t, sig)
-    columns = tuple(_column_of(i, s) for i, s in enumerate(nf.slices))
-    dom = tuple(show_obj(w) for w in nf.dom)
-    cod = tuple(show_obj(w) for w in nf.cod)
-    return DiagramLayout(dom, cod, columns)
+    shown = _Shown()
+    columns = tuple(_column_of(i, s, shown) for i, s in enumerate(nf.slices))
+    return DiagramLayout(shown.wires(nf.dom), shown.wires(nf.cod), columns)
 
 
 _DOT_SHAPES = {

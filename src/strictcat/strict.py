@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from .terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
     TensorM, TermError, TypeMismatch, UnitL, UnitLInv, UnitR, UnitRInv,
-    Unit, UnknownName, _box_walk, flatten, invert_structural, is_structural,
-    memo_roots, objsize, path_to, show_obj,
+    Unit, UnknownName, _box_walk, _leaf_names, invert_structural,
+    is_structural, memo_roots, objsize, path_to, show_obj,
 )
 
 Wires = tuple  # tuple[ObjC, ...]
@@ -51,45 +51,45 @@ class RewriteBudgetExceeded(TermError):
 # ---------------------------------------------------------------------------
 # Morphism terms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdD:
     wires: Wires
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lift:
     mor: MorC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pack:
     left: ObjC
     right: ObjC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unpack:
     left: ObjC
     right: ObjC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitIntro:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitElim:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompD:
     first: "MorD"
     second: "MorD"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorD:
     left: "MorD"
     right: "MorD"
@@ -111,10 +111,7 @@ def show_wires(w: Wires) -> str:
 
 
 def flatten_wires(w: Wires) -> tuple[str, ...]:
-    out: tuple[str, ...] = ()
-    for label in w:
-        out += flatten(label)
-    return out
+    return _leaf_names(w)
 
 
 def typecheck_d(t: MorD, sig: Signature) -> tuple[Wires, Wires]:
@@ -161,7 +158,7 @@ def invert_d(t: MorD) -> MorD:
         except TermError as err:
             raise NotInvertible(str(err)) from None
     if type(t) in _INVERSE:
-        return _INVERSE[type(t)](**vars(t))
+        return _INVERSE[type(t)](*(getattr(t, f) for f in t.__slots__))
     if isinstance(t, CompD):
         return CompD(invert_d(t.second), invert_d(t.first))
     if isinstance(t, TensorD):
@@ -172,7 +169,7 @@ def invert_d(t: MorD) -> MorD:
 # ---------------------------------------------------------------------------
 # Sequential normal form
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slice:
     """One factor ``id_left ⊗ gen ⊗ id_right`` of a sequential normal form."""
     left: Wires
@@ -194,7 +191,7 @@ class Slice:
         return len(self.left)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqNF:
     dom: Wires
     slices: tuple[Slice, ...]
@@ -287,34 +284,55 @@ def recompose(slices, dom: Wires) -> MorD:
 def pack_obj(x: Wires) -> MorD:
     """The adapter that assembles ``x`` from its flattened base wires.
 
-    Built by recursion on the wire sequence and on each wire label: a unit
-    label is summoned from nothing, a base label is left alone, a tensor
-    label is built from its halves and fused.
+    Built by induction on each wire label: a unit label is summoned from
+    nothing, a base label is left alone, a tensor label is built from its
+    halves and fused.  The wires' adapters are tensored right-nested.
     """
     return _packing(x, True)
 
 
 def unpack_obj(x: Wires) -> MorD:
-    """The inverse of ``pack_obj(x)``, built by the same recursion."""
+    """The inverse of ``pack_obj(x)``, built by the same induction."""
     return _packing(x, False)
 
 
 def _packing(x: Wires, up: bool) -> MorD:
-    if len(x) == 0:
+    if not x:
         return IdD(())
-    if len(x) == 1:
-        label = x[0]
-        if isinstance(label, Unit):
-            return UnitIntro() if up else UnitElim()
-        if isinstance(label, Base):
-            return IdD((label,))
-        if isinstance(label, Tensor):
-            halves = TensorD(_packing((label.left,), up),
-                             _packing((label.right,), up))
-            fuse = (Pack if up else Unpack)(label.left, label.right)
-            return CompD(halves, fuse) if up else CompD(fuse, halves)
-        raise TypeError(label)
-    return TensorD(_packing(x[:1], up), _packing(x[1:], up))
+    side = 1 if up else 0
+    out = _label_packing(x[-1])[side]
+    for label in reversed(x[:-1]):
+        out = TensorD(_label_packing(label)[side], out)
+    return out
+
+
+def _label_packing(label: ObjC) -> tuple[MorD, MorD]:
+    """``(unpack_obj((label,)), pack_obj((label,)))``.  A unit or tensor
+    label stores its pair on first use, built from its halves' pairs, so
+    later calls build nothing; a base label's pair is one fresh ``IdD``,
+    which the label cannot store without referring to itself."""
+    if isinstance(label, Base):
+        idd = IdD((label,))
+        return idd, idd
+    stack = [label]
+    while stack:
+        node = stack[-1]
+        if node.packing is not None:
+            stack.pop()
+        elif isinstance(node, Unit):
+            object.__setattr__(node, "packing", (UnitElim(), UnitIntro()))
+        else:
+            todo = [h for h in (node.right, node.left)
+                    if not isinstance(h, Base) and h.packing is None]
+            if todo:
+                stack += todo
+                continue
+            (ul, pl), (ur, pr) = map(_label_packing, (node.left, node.right))
+            l, r = node.left, node.right
+            object.__setattr__(node, "packing", (
+                CompD(Unpack(l, r), TensorD(ul, ur)),
+                CompD(TensorD(pl, pr), Pack(l, r))))
+    return label.packing
 
 
 def canonical_d(a: Wires, b: Wires) -> MorD:

@@ -42,6 +42,7 @@ from .strict import (
 
 class ParseError(TermError):
     def __init__(self, message: str, line: int, column: int):
+        self.message = message
         self.line = line
         self.column = column
         super().__init__(f"{line}:{column}: {message}")
@@ -348,8 +349,15 @@ def parse_signature(text: str) -> Signature:
         m = _GEN_LINE.match(line)
         if m:
             name, type_text = m.groups()
-            ends = _run(type_text, _gen_type,
-                        tail="trailing input after generator type")
+            try:
+                ends = _run(type_text, _gen_type,
+                            tail="trailing input after generator type")
+            except ParseError as err:
+                # place it in the file: the type text is on this line,
+                # after the whitespace that ``strip`` removed
+                at = len(raw) - len(raw.lstrip()) + m.start(2)
+                raise ParseError(err.message, lineno,
+                                 at + err.column) from None
             if name in gens:
                 raise ParseError(f"duplicate generator {name!r}", lineno, 1)
             gens[name] = ends

@@ -12,13 +12,18 @@ Orientation conventions, fixed once for the whole package:
     unit_r(A)       : A * I -> A
 
 ``Comp(f, g)`` is diagrammatic: ``f`` happens first.  Equality of objects
-and terms is syntactic; nothing is normalised implicitly.  All values are
-frozen and safe to share between threads, and so is the memo of the typed
-walk (``memo_roots``), which a race can only make miss.
+and terms is syntactic; nothing is normalised implicitly.  Objects are
+interned: each structure has one live node, so ``==`` and ``hash`` on
+objects go by identity and mean what structural equality meant, at any
+depth.  A node stores its leaf count (``objsize``).  All values are frozen
+and safe to share between threads, and so are the intern tables and the
+memo of the typed walk (``memo_roots``), which a race can only make miss.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import wraps
 from types import MappingProxyType
@@ -49,57 +54,134 @@ class ArityMismatch(TermError):
 # ---------------------------------------------------------------------------
 # Objects
 
-@dataclass(frozen=True)
-class Unit:
-    pass
+# Each object structure has one live node (hash-consing, after Filliâtre &
+# Conchon, "Type-safe modular hash-consing", 2006): a ``Base`` is stored
+# by its name, a ``Tensor`` by its two children.  A node drops out of its
+# table when its last reference goes.  Lookups take no lock; an insert
+# takes ``_INSERT``, so two threads building one structure get one node.
+_BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TENSORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INSERT = threading.Lock()
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Base:
+class _Node:
+    """Slots of every object node besides its fields: ``size``, its number
+    of base leaves, stored at construction; ``checked``, the base names it
+    last passed ``validate_obj`` against; and ``packing``, its (unpack,
+    pack) adapter pair, which ``strict`` fills on first use."""
+    __slots__ = ("__weakref__", "size", "checked", "packing")
+
+
+def _stored(node, size: int, table=None, key=None):
+    """``node`` with its slots set, stored under ``key`` in ``table``, or
+    the node another thread stored there first."""
+    _set(node, "size", size)
+    _set(node, "checked", None)
+    _set(node, "packing", None)
+    if table is None:
+        return node
+    with _INSERT:
+        return table.setdefault(key, node)
+
+
+# Nodes are compared and hashed by identity, which for interned nodes is
+# structural equality.  ``__reduce__`` sends copy, deepcopy and pickle
+# back through the constructor, so they return the live node.
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
+class Unit(_Node):
+    def __new__(cls):
+        return UNIT
+
+    def __reduce__(self):
+        return Unit, ()
+
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
+class Base(_Node):
     name: str
 
+    def __new__(cls, name: str):
+        node = _BASES.get(name)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "name", name)
+            node = _stored(node, 1, _BASES, name)
+        return node
 
-@dataclass(frozen=True)
-class Tensor:
+    def __reduce__(self):
+        return Base, (self.name,)
+
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
+class Tensor(_Node):
     left: "ObjC"
     right: "ObjC"
+
+    def __new__(cls, left: "ObjC", right: "ObjC"):
+        key = (left, right)
+        node = _TENSORS.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            node = _stored(node, left.size + right.size, _TENSORS, key)
+        return node
+
+    def __reduce__(self):
+        return Tensor, (self.left, self.right)
 
 
 ObjC = Unit | Base | Tensor
 
-UNIT = Unit()
+UNIT = _stored(object.__new__(Unit), 0)
 
 
 def show_obj(a: ObjC) -> str:
-    if isinstance(a, Unit):
-        return "I"
     if isinstance(a, Base):
         return a.name
-    if isinstance(a, Tensor):
-        return f"({show_obj(a.left)} * {show_obj(a.right)})"
-    raise TypeError(a)
+    parts: list[str] = []
+    stack: list = [a]
+    while stack:
+        a = stack.pop()
+        if isinstance(a, str):
+            parts.append(a)
+        elif isinstance(a, Tensor):
+            parts.append("(")
+            stack += (")", a.right, " * ", a.left)
+        elif isinstance(a, Base):
+            parts.append(a.name)
+        elif isinstance(a, Unit):
+            parts.append("I")
+        else:
+            raise TypeError(a)
+    return "".join(parts)
 
 
 def flatten(a: ObjC) -> tuple[str, ...]:
     """In-order sequence of base leaves; unit leaves contribute nothing."""
-    if isinstance(a, Unit):
-        return ()
-    if isinstance(a, Base):
-        return (a.name,)
-    if isinstance(a, Tensor):
-        return flatten(a.left) + flatten(a.right)
-    raise TypeError(a)
+    return _leaf_names((a,))
+
+
+def _leaf_names(objs) -> tuple[str, ...]:
+    """The in-order base leaves of a sequence of objects, in one pass."""
+    names: list[str] = []
+    stack = list(reversed(objs))
+    while stack:
+        a = stack.pop()
+        if isinstance(a, Tensor):
+            stack += (a.right, a.left)
+        elif isinstance(a, Base):
+            names.append(a.name)
+        elif not isinstance(a, Unit):
+            raise TypeError(a)
+    return tuple(names)
 
 
 def objsize(a: ObjC) -> int:
     """Number of base-object leaves of ``a``."""
-    if isinstance(a, Unit):
-        return 0
-    if isinstance(a, Base):
-        return 1
-    if isinstance(a, Tensor):
-        return objsize(a.left) + objsize(a.right)
-    raise TypeError(a)
+    return a.size
 
 
 def substitute(shape: ObjC, fill: tuple[ObjC, ...]) -> ObjC:
@@ -128,58 +210,58 @@ def substitute(shape: ObjC, fill: tuple[ObjC, ...]) -> ObjC:
 # ---------------------------------------------------------------------------
 # Morphism terms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Id:
     obj: ObjC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gen:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comp:
     first: "MorC"
     second: "MorC"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorM:
     left: "MorC"
     right: "MorC"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assoc:
     a: ObjC
     b: ObjC
     c: ObjC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssocInv:
     a: ObjC
     b: ObjC
     c: ObjC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitL:
     obj: ObjC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitLInv:
     obj: ObjC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitR:
     obj: ObjC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitRInv:
     obj: ObjC
 
@@ -244,17 +326,25 @@ def make_signature(bases, generators=None) -> Signature:
 
 
 def validate_obj(a: ObjC, sig: Signature) -> None:
-    if isinstance(a, Unit):
+    """Raise ``UnknownName`` for the leftmost base leaf of ``a`` that
+    ``sig`` does not declare.  Each node that passes remembers the base
+    names it passed against, so it is not walked again for them."""
+    bases = sig.base_objects
+    if a.checked is bases:
         return
-    if isinstance(a, Base):
-        if a.name not in sig.base_objects:
-            raise UnknownName(a.name)
-        return
-    if isinstance(a, Tensor):
-        validate_obj(a.left, sig)
-        validate_obj(a.right, sig)
-        return
-    raise TypeError(a)
+    passed = []
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        if node.checked is bases:
+            continue
+        if isinstance(node, Tensor):
+            stack += (node.right, node.left)
+        elif isinstance(node, Base) and node.name not in bases:
+            raise UnknownName(node.name)
+        passed.append(node)
+    for node in passed:
+        _set(node, "checked", bases)
 
 
 def typecheck_c(f: MorC, sig: Signature) -> tuple[ObjC, ObjC]:

@@ -158,6 +158,14 @@ def test_json_error_payload(sig_path):
     assert "error" in data
 
 
+def test_signature_error_placed_in_the_file(tmp_path):
+    path = tmp_path / "bad.sig"
+    path.write_text("obj b\n  gen f : (b * b) -> b b\n", encoding="utf-8")
+    code, out = run_cli("--json", "typecheck", "--sig", str(path), "id[b]")
+    assert code == 2
+    assert json.loads(out)["error"] == "2:24: trailing input after generator type"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "strictcat.cli", "parse", "id[I]"],

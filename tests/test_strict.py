@@ -194,6 +194,19 @@ def test_unpack_obj_is_inverse_of_pack_obj(demo_sig, rng):
         assert unpack_obj((a, UNIT, b)) == invert_d(pack_obj((a, UNIT, b)))
 
 
+def test_label_adapters_are_built_once():
+    # a label's pair is stored on the interned label, so a second call
+    # shares it, and a deep label is built without recursion
+    a = Tensor(W, Tensor(UNIT, W))
+    assert pack_obj((a,)) is pack_obj((Tensor(W, Tensor(UNIT, W)),))
+    assert unpack_obj((a, W)).left is unpack_obj((a,))
+    deep = W
+    for _ in range(10_000):
+        deep = Tensor(deep, UNIT)
+    assert pack_obj((deep,)).second == Pack(deep.left, UNIT)
+    assert unpack_obj((deep,)) is unpack_obj((deep,))
+
+
 def test_pack_obj_domain_is_flattened(catw_sig):
     x = (Tensor(W, Tensor(UNIT, W)), UNIT, W)
     dom, cod = typecheck_d(pack_obj(x), catw_sig)

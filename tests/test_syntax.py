@@ -122,9 +122,9 @@ _ERROR_TABLE = [
     (parse_obj, "(W W)", 1, 4, "expected STAR, found 'W'"),
     (parse_wires, "W|", 1, 3, "expected an object"),
     (parse_cmor, "f ;\n  g\n  ; ; h", 3, 5, "expected a morphism"),
-    (parse_signature, "obj b\ngen f : (b * b) -> b b", 1, 14,
+    (parse_signature, "obj b\ngen f : (b * b) -> b b", 2, 22,
      "trailing input after generator type"),
-    (parse_signature, "obj b\ngen f : (b * b) b", 1, 9,
+    (parse_signature, "obj b\ngen f : (b * b) b", 2, 17,
      "expected ARROW, found 'b'"),
 ]
 

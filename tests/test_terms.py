@@ -1,13 +1,19 @@
+import copy
+import gc
+import pickle
 import sys
 import threading
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
     UNIT, ArityMismatch, Assoc, Base, Comp, Gen, Id, Tensor, TensorM,
-    TermError, TypeMismatch, UnitL, UnitLInv, UnitR, UnknownName, flatten,
-    _boxes, is_structural, make_signature, objsize, substitute, typecheck_c,
+    TermError, TypeMismatch, Unit, UnitL, UnitLInv, UnitR, UnknownName,
+    flatten, _boxes, is_structural, make_signature, objsize, show_obj,
+    substitute, typecheck_c, validate_obj,
 )
 from strictcat.strict import typecheck_d
 from strictcat.finmodel import FinModel, eval_mor
@@ -260,3 +266,99 @@ def test_typed_walks_shared_between_threads(demo_sig):
     assert errors == []
     for k, block in enumerate(results):
         assert block == [expected[k]] * 40
+
+
+# Objects are interned: one live node per structure, compared by identity.
+
+def test_equal_objects_are_one_node():
+    a = Tensor(Base("W"), Tensor(Unit(), Base("W")))
+    assert a is Tensor(W, Tensor(UNIT, W))
+    assert Unit() is UNIT and Base("x") is X
+    assert a is not Tensor(Tensor(W, UNIT), W)
+    assert a != Tensor(W, Tensor(UNIT, X))
+    assert {a: 1}[Tensor(W, Tensor(UNIT, W))] == 1
+
+
+def test_copy_and_pickle_return_the_live_node():
+    a = Tensor(X, Tensor(UNIT, Tensor(Y, Z)))
+    for obj in (a, UNIT, X):
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+    assert replace(a, left=Y) is Tensor(Y, a.right)
+
+
+def test_objects_keep_their_fields_and_repr():
+    assert [f.name for f in fields(Tensor)] == ["left", "right"]
+    assert [f.name for f in fields(Base)] == ["name"]
+    assert fields(Unit) == ()
+    assert repr(Tensor(W, UNIT)) == "Tensor(left=Base(name='W'), right=Unit())"
+
+
+def test_unreferenced_node_drops_out_of_the_table():
+    node = Tensor(Base("dropped_l"), Tensor(UNIT, Base("dropped_r")))
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+    again = Tensor(Base("dropped_l"), Tensor(UNIT, Base("dropped_r")))
+    assert again is Tensor(Base("dropped_l"), Tensor(UNIT, Base("dropped_r")))
+    assert objsize(again) == 2
+
+
+def test_threads_building_the_same_objects_get_one_node():
+    # every structure is new to the table, so the four threads race to
+    # insert each one; each must come back with the node that won
+    n = 2_000
+
+    def build():
+        return [Tensor(Base(f"race{i}"), Tensor(UNIT, Base(f"race{i + 1}")))
+                for i in range(n)]
+
+    results = [None] * 4
+    errors = []
+    start = threading.Barrier(4)
+
+    def run(k):
+        try:
+            start.wait()
+            results[k] = build()
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for i, node in enumerate(results[0]):
+        assert all(r[i] is node for r in results[1:])
+        assert node is Tensor(Base(f"race{i}"), Tensor(UNIT, Base(f"race{i + 1}")))
+
+
+DEEP = 10_000
+
+
+def test_deep_objects_need_no_recursion(catw_sig):
+    def chain():
+        obj = W
+        for _ in range(DEEP):
+            obj = Tensor(W, obj)
+        return obj
+
+    a, b = chain(), chain()
+    assert a == b and hash(a) == hash(b)
+    assert objsize(a) == DEEP + 1
+    assert flatten(a) == ("W",) * (DEEP + 1)
+    validate_obj(a, catw_sig)
+    with pytest.raises(UnknownName):
+        validate_obj(Tensor(a, X), catw_sig)
+    assert show_obj(b) == "(W * " * DEEP + "W" + ")" * DEEP
+

@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    MorC, ObjC, Signature, TermError, ArityMismatch, _boxes, is_structural,
-    objsize, substitute,
+    MorC, ObjC, Signature, TermError, ArityMismatch, _boxes, objsize,
+    substitute,
 )
 from .strict import (
-    FlatteningMismatch, Lift, MorD, _records, canonical_d, left_normal_form,
+    FlatteningMismatch, MorD, _diagram, canonical_d, left_normal_form,
     normalize_adapters, pack_obj, unpack_obj,
 )
 from .functors import nonstrictify, strictify_expand
@@ -110,11 +110,10 @@ def fg_singleton_check(f: MorD, sig: Signature) -> bool:
     For an adapter-only term between single wires, strictifying its
     nonstrictification lands back on the same normal form.
     """
-    dom, cod, recs = _records(f, sig)
+    dom, cod, boxes, _ = _diagram(f, sig)
     if len(dom) != 1 or len(cod) != 1:
         raise PreconditionError("endpoints must be single wires")
-    if any(isinstance(g, Lift) and not is_structural(g.mor)
-           for _, g, _, _ in recs):
+    if boxes is not None:
         raise PreconditionError("lifted generators are not allowed here")
     back = strictify_expand(nonstrictify(f, sig), sig)
     return normalize_adapters(back, sig) == normalize_adapters(f, sig)

@@ -20,6 +20,12 @@ Delpeuch & Vicary), each box packed, lifted and unpacked at its offset,
 then one more left-insertion pass that cancels inverse adapters it
 brings together.  A term with no lifted generator needs no rewriting:
 coherence of the adapter fragment gives its normal form directly.
+
+The walks a normaliser and its readers need (records, diagram, sequential
+normal form) remember their last few roots (``terms.memo_roots``), and the
+layers that build terms seed them: ``functors.strictify_expand`` hands its
+output's diagram to the normaliser, which hands its output's slices to
+``functors.nonstrictify`` and ``render.layout``.
 """
 
 from __future__ import annotations
@@ -206,13 +212,17 @@ def make_slice(left: Wires, gen: MorD, right: Wires, sig: Signature) -> Slice:
     return Slice(tuple(left), gen, tuple(right), d, c)
 
 
+@memo_roots
 def seq_normal_form(t: MorD, sig: Signature) -> SeqNF:
     """Factor ``t`` into slices.
 
     The result composes back to a term equal to ``t`` modulo the strict
     monoidal axioms only (functoriality of tensor and interchange);
     identities contribute no slices, a tensor ``t ⊗ u`` factors as
-    ``(t ⊗ id) ; (id ⊗ u)``.
+    ``(t ⊗ id) ; (id ⊗ u)``.  It is remembered for the last eight roots
+    (see ``terms.memo_roots``); the normaliser remembers the slices it
+    recomposes its output from, so ``nonstrictify`` and ``layout`` of a
+    normal form do not walk it.
     """
     dom, _, recs = _records(t, sig)
     return SeqNF(dom, _slices(recs, dom))
@@ -374,53 +384,54 @@ class RewriteStats:
                 f"lift({e[1]}) at base wire {e[0]}" for e in self.events]
 
 
-def _expand(f: MorC, sig: Signature) -> tuple[MorD, ObjC, ObjC]:
-    """Strict image of ``f`` with lifts left only around generators, and
-    the ends of ``f``, built bottom-up: ``f`` must be well typed.
+def _expand(f: MorC, sig: Signature) -> tuple[MorD, ObjC, ObjC, int]:
+    """Strict image of ``f`` with lifts left only around generators, the
+    ends of ``f`` and the number of adapters in the image, built
+    bottom-up: ``f`` must be well typed.
 
     Tensors unpack, act on both wires, and repack; the associator and
     unitor images are the fixed composites whose orientation is the one
     that typechecks.
     """
     if isinstance(f, Id):
-        return IdD((f.obj,)), f.obj, f.obj
+        return IdD((f.obj,)), f.obj, f.obj, 0
     if isinstance(f, Gen):
-        return (Lift(f),) + sig.generators[f.name]
+        return (Lift(f), *sig.generators[f.name], 0)
     if isinstance(f, Comp):
-        t1, d1, _ = _expand(f.first, sig)
-        t2, _, c2 = _expand(f.second, sig)
-        return CompD(t1, t2), d1, c2
+        t1, d1, _, n1 = _expand(f.first, sig)
+        t2, _, c2, n2 = _expand(f.second, sig)
+        return CompD(t1, t2), d1, c2, n1 + n2
     if isinstance(f, TensorM):
-        t1, d1, c1 = _expand(f.left, sig)
-        t2, d2, c2 = _expand(f.right, sig)
+        t1, d1, c1, n1 = _expand(f.left, sig)
+        t2, d2, c2, n2 = _expand(f.right, sig)
         return (chain_d(Unpack(d1, d2), TensorD(t1, t2), Pack(c1, c2)),
-                Tensor(d1, d2), Tensor(c1, c2))
+                Tensor(d1, d2), Tensor(c1, c2), n1 + n2 + 2)
     if isinstance(f, Assoc):
         bc, ab = Tensor(f.b, f.c), Tensor(f.a, f.b)
         return chain_d(
             Unpack(f.a, bc),
             TensorD(IdD((f.a,)), Unpack(f.b, f.c)),
             TensorD(Pack(f.a, f.b), IdD((f.c,))),
-            Pack(ab, f.c)), Tensor(f.a, bc), Tensor(ab, f.c)
+            Pack(ab, f.c)), Tensor(f.a, bc), Tensor(ab, f.c), 4
     if isinstance(f, AssocInv):
         bc, ab = Tensor(f.b, f.c), Tensor(f.a, f.b)
         return chain_d(
             Unpack(ab, f.c),
             TensorD(Unpack(f.a, f.b), IdD((f.c,))),
             TensorD(IdD((f.a,)), Pack(f.b, f.c)),
-            Pack(f.a, bc)), Tensor(ab, f.c), Tensor(f.a, bc)
+            Pack(f.a, bc)), Tensor(ab, f.c), Tensor(f.a, bc), 4
     if isinstance(f, UnitL):
         return (CompD(Unpack(UNIT, f.obj), TensorD(UnitElim(), IdD((f.obj,)))),
-                Tensor(UNIT, f.obj), f.obj)
+                Tensor(UNIT, f.obj), f.obj, 2)
     if isinstance(f, UnitLInv):
         return (CompD(TensorD(UnitIntro(), IdD((f.obj,))), Pack(UNIT, f.obj)),
-                f.obj, Tensor(UNIT, f.obj))
+                f.obj, Tensor(UNIT, f.obj), 2)
     if isinstance(f, UnitR):
         return (CompD(Unpack(f.obj, UNIT), TensorD(IdD((f.obj,)), UnitElim())),
-                Tensor(f.obj, UNIT), f.obj)
+                Tensor(f.obj, UNIT), f.obj, 2)
     if isinstance(f, UnitRInv):
         return (CompD(TensorD(IdD((f.obj,)), UnitIntro()), Pack(f.obj, UNIT)),
-                f.obj, Tensor(f.obj, UNIT))
+                f.obj, Tensor(f.obj, UNIT), 2)
     raise TypeError(f)
 
 
@@ -465,9 +476,22 @@ def left_normal_form(items, cancels=None, max_steps: int | None = None,
     return out, steps
 
 
-def _base_boxes(dom: Wires, recs, sig: Signature) -> list:
-    """The generator boxes of ``recs`` replayed from ``dom``, on base wires
-    as ``terms._boxes`` lists them: each lifted morphism gives its own."""
+@memo_roots
+def _diagram(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple | None, int]:
+    """``(dom, cod, boxes, adapters)`` of ``t``: its ends; the generator
+    boxes of its records replayed from ``dom``, on base wires as
+    ``terms._boxes`` lists them (each lifted morphism gives its own), or
+    ``None`` when no lifted morphism has a generator; and its number of
+    adapter records.
+
+    Remembered for the last eight roots (see ``terms.memo_roots``).  The
+    boxes of ``strictify_expand(f)`` are those of ``f``, in order, so the
+    expansion remembers its diagram and normalising it walks nothing."""
+    dom, cod, recs = _records(t, sig)
+    lifted = [g.mor for _, g, _, _ in recs if isinstance(g, Lift)]
+    adapters = len(recs) - len(lifted)
+    if all(map(is_structural, lifted)):
+        return dom, cod, None, adapters
     widths = [objsize(x) for x in dom]
     boxes: list = []
     for pos, gen, d, c in recs:
@@ -479,7 +503,7 @@ def _base_boxes(dom: Wires, recs, sig: Signature) -> list:
             widths[pos:pos + 2] = [widths[pos] + widths[pos + 1]]
         else:
             widths[pos:pos + len(d)] = [objsize(x) for x in c]
-    return boxes
+    return dom, cod, tuple(boxes), adapters
 
 
 def _packing_items(x: Wires, up: bool, at: int, out: list) -> None:
@@ -537,24 +561,24 @@ def normalize_adapters_with_stats(
     boxes on base wires, the one ``equal_structural`` compares, and one
     more left insertion cancels inverse adapters it brings together.
     ``max_steps`` bounds the exchanges and cancellations of both passes.
+    The output's slices are remembered as its ``seq_normal_form``.
     """
     stats = RewriteStats()
-    dom, cod, recs = _records(t, sig)
-    if any(isinstance(g, Lift) and not is_structural(g.mor)
-           for _, g, _, _ in recs):
-        boxes, steps = left_normal_form(_base_boxes(dom, recs, sig), None,
-                                        max_steps)
+    dom, cod, boxes, adapters = _diagram(t, sig)
+    if boxes is not None:
+        boxes, steps = left_normal_form(boxes, None, max_steps)
         items = _read_back(dom, cod, boxes, sig)
         # items met at one offset compose, so their types decide a cancel
         out, steps = left_normal_form(
             items, lambda a, b: _INVERSE.get(type(a[0])) is type(b[0]),
             max_steps, steps)
-        out = [(p, *x) for p, x, _, _ in out]
         stats.swaps = steps - (len(items) - len(out)) // 2
-        drop = sum(not isinstance(r[1], Lift) for r in recs) + len(boxes)
-        stats.cancelled_pairs = max(drop - len(out), 0) // 2
+        stats.cancelled_pairs = max(adapters + len(boxes) - len(out), 0) // 2
         stats.events = boxes
-        return recompose(_slices(out, dom), dom), stats
+        slices = _slices([(p, *x) for p, x, _, _ in out], dom)
+        term = recompose(slices, dom)
+        seq_normal_form.remember(term, sig, SeqNF(dom, slices))
+        return term, stats
     if dom == cod:
         stats.events.append("adapter-only endpoints coincide: identity")
         return IdD(dom), stats

@@ -17,7 +17,9 @@ interned: each structure has one live node, so ``==`` and ``hash`` on
 objects go by identity and mean what structural equality meant, at any
 depth.  A node stores its leaf count (``objsize``).  All values are frozen
 and safe to share between threads, and so are the intern tables and the
-memo of the typed walk (``memo_roots``), which a race can only make miss.
+memos of the typed walks (``memo_roots``), which a race can only make
+miss.  A layer that builds a term can seed such a memo with what it
+already knows (``remember``), so the next layer does not walk the term.
 """
 
 from __future__ import annotations
@@ -57,10 +59,14 @@ class ArityMismatch(TermError):
 # Each object structure has one live node (hash-consing, after Filliâtre &
 # Conchon, "Type-safe modular hash-consing", 2006): a ``Base`` is stored
 # by its name, a ``Tensor`` by its two children.  A node drops out of its
-# table when its last reference goes.  Lookups take no lock; an insert
+# table when its last reference goes.  Lookups take no lock: they read the
+# table's own dict of weak references (``data``, which the table never
+# rebinds), so a miss raises no ``KeyError`` inside the table.  An insert
 # takes ``_INSERT``, so two threads building one structure get one node.
 _BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _TENSORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_BASE_REFS = _BASES.data
+_TENSOR_REFS = _TENSORS.data
 _INSERT = threading.Lock()
 _set = object.__setattr__
 
@@ -69,8 +75,15 @@ class _Node:
     """Slots of every object node besides its fields: ``size``, its number
     of base leaves, stored at construction; ``checked``, the base names it
     last passed ``validate_obj`` against; and ``packing``, its (unpack,
-    pack) adapter pair, which ``strict`` fills on first use."""
+    pack) adapter pair, which ``strict`` fills on first use.  A node is
+    immutable and the only one of its structure, so a copy is the node."""
     __slots__ = ("__weakref__", "size", "checked", "packing")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 def _stored(node, size: int, table=None, key=None):
@@ -86,8 +99,9 @@ def _stored(node, size: int, table=None, key=None):
 
 
 # Nodes are compared and hashed by identity, which for interned nodes is
-# structural equality.  ``__reduce__`` sends copy, deepcopy and pickle
-# back through the constructor, so they return the live node.
+# structural equality.  ``__reduce__`` sends pickle back through the
+# constructors, so unpickling returns the live node; a tensor is sent as
+# its flat post-order (``_postfix``), so depth costs no recursion.
 
 @dataclass(frozen=True, eq=False, slots=True, init=False)
 class Unit(_Node):
@@ -103,7 +117,8 @@ class Base(_Node):
     name: str
 
     def __new__(cls, name: str):
-        node = _BASES.get(name)
+        ref = _BASE_REFS.get(name)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             _set(node, "name", name)
@@ -121,7 +136,8 @@ class Tensor(_Node):
 
     def __new__(cls, left: "ObjC", right: "ObjC"):
         key = (left, right)
-        node = _TENSORS.get(key)
+        ref = _TENSOR_REFS.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             _set(node, "left", left)
@@ -130,7 +146,7 @@ class Tensor(_Node):
         return node
 
     def __reduce__(self):
-        return Tensor, (self.left, self.right)
+        return _from_postfix, (tuple(_postfix(self)),)
 
 
 ObjC = Unit | Base | Tensor
@@ -193,18 +209,35 @@ def substitute(shape: ObjC, fill: tuple[ObjC, ...]) -> ObjC:
     if objsize(shape) != len(fill):
         raise ArityMismatch(
             f"shape has {objsize(shape)} leaves, fill has {len(fill)} entries")
+    fills = iter(fill)
+    return _from_postfix([next(fills) if isinstance(x, Base) else x
+                          for x in _postfix(shape)])
 
-    def go(a: ObjC, index: int) -> tuple[ObjC, int]:
-        if isinstance(a, Unit):
-            return a, index
-        if isinstance(a, Base):
-            return fill[index], index + 1
-        left, index = go(a.left, index)
-        right, index = go(a.right, index)
-        return Tensor(left, right), index
 
-    result, _ = go(shape, 0)
-    return result
+def _postfix(a: ObjC) -> list:
+    """The leaves of ``a`` in order, with a ``None`` after the two halves
+    of each tensor node: ``a`` in post-order, built without recursion."""
+    out: list = []
+    stack: list = [a]
+    while stack:
+        a = stack.pop()
+        if isinstance(a, Tensor):
+            stack += (None, a.right, a.left)
+        else:
+            out.append(a)
+    return out
+
+
+def _from_postfix(items) -> ObjC:
+    """The object whose ``_postfix`` is ``items``."""
+    stack: list = []
+    for x in items:
+        if x is None:
+            right = stack.pop()
+            stack[-1] = Tensor(stack[-1], right)
+        else:
+            stack.append(x)
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +402,28 @@ def memo_roots(walk):
     entry (a later miss) but never read a wrong one.  The walk itself stays
     available as ``__wrapped__``, for subterms built on the fly that should
     not push a caller's roots out.
+
+    ``remember(t, sig, out)`` stores ``out`` as the walk's result for a
+    root without walking it, as a miss would.  A layer that builds a term
+    and already knows what the walk would find hands it on this way, and
+    the next layer skips the walk; ``out`` must equal ``walk(t, sig)``.
     """
     entries: tuple = ()
 
     @wraps(walk)
     def remembered(t, sig):
-        nonlocal entries
         for entry in entries:
             if entry[0] is t and entry[1] is sig:
                 return entry[2]
         out = walk(t, sig)
-        entries = ((t, sig, out),) + entries[:_MEMO_ROOTS - 1]
+        remember(t, sig, out)
         return out
 
+    def remember(t, sig, out) -> None:
+        nonlocal entries
+        entries = ((t, sig, out),) + entries[:_MEMO_ROOTS - 1]
+
+    remembered.remember = remember
     return remembered
 
 

@@ -1,21 +1,25 @@
 import hashlib
+import sys
+import threading
 
 import pytest
 
 from strictcat import demos, functors, strict
 from strictcat.terms import (
     UNIT, Assoc, AssocInv, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitLInv,
-    UnitR, UnitRInv, typecheck_c,
+    UnitR, UnitRInv, _boxes, typecheck_c,
 )
 from strictcat.strict import (
-    CompD, IdD, Lift, Pack, TensorD, UnitElim, UnitIntro, Unpack, chain_d,
-    invert_d, normalize_adapters, normalize_adapters_with_stats, typecheck_d,
+    CompD, IdD, Lift, Pack, TensorD, UnitElim, UnitIntro, Unpack, _diagram,
+    chain_d, invert_d, normalize_adapters, normalize_adapters_with_stats,
+    seq_normal_form, typecheck_d,
 )
 from strictcat.functors import (
     epsilon, eta, nonstrictify, obj_nonstrictify, psi_big, psi_small,
     strictify_expand, strictify_shallow,
 )
 from strictcat.finmodel import eval_mor, eval_mor_d, extensional_equal
+from strictcat.render import layout
 from strictcat.generate import random_dmor, random_mor, random_obj
 
 from conftest import X, Y, Z
@@ -296,3 +300,101 @@ def test_normalize_lifts_pinned(demo_sig):
         return out, stats.cancelled_pairs, stats.swaps, stats.trace
 
     assert _digest(key(t, sig) for t, sig in cases()) == "31ad7bceb64030c5"
+
+
+# Each layer hands on what it knows about the term it builds: the expansion
+# its diagram, the normaliser its output's slices.  What is handed on must
+# be what the skipped walk would have found.
+
+
+def test_strictify_expand_hands_on_the_diagram_of_its_input(demo_sig):
+    for f, sig in _pin_inputs(demo_sig):
+        t = strictify_expand(f, sig)
+        handed = _diagram(t, sig)
+        # remembered, not walked: the boxes are those of ``f`` itself
+        assert handed[2] is (_boxes(f, sig)[2] or None)
+        assert handed == _diagram.__wrapped__(t, sig)
+
+
+def test_normalize_hands_on_the_slices_of_its_output(demo_sig):
+    def cases():
+        for f, sig in _pin_inputs(demo_sig):
+            t = strictify_expand(f, sig)
+            yield t, sig
+            yield TensorD(IdD((X,)), t), sig
+        for seed in range(200):
+            yield random_dmor(demo_sig, 3, seed), demo_sig
+
+    for t, sig in cases():
+        nf = normalize_adapters(t, sig)
+        assert seq_normal_form(nf, sig) == seq_normal_form.__wrapped__(nf, sig)
+
+
+def test_strictify_normalize_read_back_walk_nothing(monkeypatch):
+    # every generator node met by a walk of the expansion or the normal
+    # form goes through ``_gen_ends``; the hand-offs leave no such walk
+    sig = demos.parity_signature()
+    f = nonstrictify(demos.parity_term(12), sig)
+    calls = []
+
+    def counting(g, s):
+        calls.append(g)
+        return ends(g, s)
+
+    ends = strict._gen_ends
+    monkeypatch.setattr(strict, "_gen_ends", counting)
+    nf = normalize_adapters(strictify_expand(f, sig), sig)
+    back = nonstrictify(nf, sig)
+    columns = layout(nf, sig).columns
+    assert calls == []
+    assert typecheck_c(back, sig) == typecheck_c(f, sig)
+    assert len(columns) == len(seq_normal_form.__wrapped__(nf, sig).slices)
+
+
+def test_hand_offs_shared_between_threads(demo_sig):
+    # each thread strictifies, normalises and reads back its own inputs,
+    # over and over, so handed-on entries are pushed out by the other
+    # threads; every answer must be the one a single thread gets
+    psig = demos.parity_signature()
+    inputs = [(nonstrictify(demos.parity_term(n), psig), psig)
+              for n in range(3, 11)]
+    inputs += [(random_mor(demo_sig, 3, seed), demo_sig) for seed in range(16)]
+    blocks = [inputs[k::4] for k in range(4)]
+
+    def answers(block):
+        out = []
+        for f, sig in block:
+            nf, stats = normalize_adapters_with_stats(strictify_expand(f, sig),
+                                                      sig)
+            out.append((nf, stats.cancelled_pairs, stats.swaps, stats.trace,
+                        nonstrictify(nf, sig), layout(nf, sig)))
+        return out
+
+    expected = [answers(block) for block in blocks]
+    results = [[] for _ in blocks]
+    errors = []
+    start = threading.Barrier(len(blocks))
+
+    def run(k):
+        try:
+            start.wait()
+            for _ in range(10):
+                results[k].append(answers(blocks[k]))
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(blocks))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for k, block in enumerate(results):
+        assert block == [expected[k]] * 10

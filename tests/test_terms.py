@@ -362,3 +362,19 @@ def test_deep_objects_need_no_recursion(catw_sig):
         validate_obj(Tensor(a, X), catw_sig)
     assert show_obj(b) == "(W * " * DEEP + "W" + ")" * DEEP
 
+
+
+def test_deep_objects_copy_pickle_and_substitute():
+    obj = W
+    for _ in range(DEEP):
+        obj = Tensor(W, obj)
+    assert copy.copy(obj) is obj
+    assert copy.deepcopy(obj) is obj
+    assert pickle.loads(pickle.dumps(obj)) is obj
+    filled = substitute(obj, (X,) * DEEP + (Tensor(Y, UNIT),))
+    assert flatten(filled) == ("x",) * DEEP + ("y",)
+    node = filled
+    for _ in range(DEEP):
+        assert node.left is X
+        node = node.right
+    assert node is Tensor(Y, UNIT)

@@ -8,23 +8,24 @@ normal form, one slice at a time.  ``psi_big``/``psi_small`` and
 ``epsilon``/``eta`` are the coherence data making both directions
 monoidal and mutually inverse up to isomorphism.
 
-Each layer hands on what it already knows about the term it builds,
-through the memos of ``terms.memo_roots``: ``strictify_expand`` remembers
-its output's diagram (ends, the boxes of its input, adapter count) for
-``strict.normalize_adapters``, which remembers its output's slices for
-``nonstrictify`` and ``render.layout``.  So strictifying, normalising and
-reading back a term walks the expansion and the normal form not at all.
+Each layer stores what it knows about the term it builds on the term
+(``terms._Composite``): ``strictify_expand`` its output's diagram (ends,
+the boxes of its input, adapter count) for ``strict.normalize_adapters``,
+which stores its output's slices for ``nonstrictify`` and
+``render.layout``.  So strictifying, normalising and reading back any
+number of terms walks no expansion and no normal form.
 """
 
 from __future__ import annotations
 
 from .terms import (
     UNIT, Assoc, AssocInv, Comp, Id, MorC, ObjC, Signature, Tensor,
-    TensorM, UnitL, UnitLInv, UnitR, UnitRInv, _boxes, chain_c, typecheck_c,
+    TensorM, UnitL, UnitLInv, UnitR, UnitRInv, _boxes, _store, chain_c,
+    typecheck_c,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, _diagram, _expand, seq_normal_form,
+    Wires, _expand, seq_normal_form,
 )
 
 
@@ -36,14 +37,13 @@ def strictify_shallow(f: MorC, sig: Signature) -> MorD:
 
 def strictify_expand(f: MorC, sig: Signature) -> MorD:
     """Strictify ``f`` leaving lifts only around signature generators.
-    Only the root is typechecked; the expansion builds each subterm's ends
-    from its children's, so a deep tensor costs one walk.  The expansion's
-    diagram, whose boxes are those of ``f``, is remembered for the
-    normaliser."""
-    dom, cod = typecheck_c(f, sig)
+    Only the root is typechecked, by one typed walk that also lists its
+    boxes; the expansion builds each subterm's ends from its children's,
+    so a deep tensor costs one walk.  The expansion's diagram, whose boxes
+    are those of ``f``, is stored on it for the normaliser."""
+    dom, cod, boxes = _boxes(f, sig)
     t, _, _, adapters = _expand(f, sig)
-    _diagram.remember(t, sig, ((dom,), (cod,), _boxes(f, sig)[2] or None,
-                               adapters))
+    _store(t, (sig, ((dom,), (cod,), boxes or None, adapters), None))
     return t
 
 

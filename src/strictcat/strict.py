@@ -21,11 +21,11 @@ then one more left-insertion pass that cancels inverse adapters it
 brings together.  A term with no lifted generator needs no rewriting:
 coherence of the adapter fragment gives its normal form directly.
 
-The walks a normaliser and its readers need (records, diagram, sequential
-normal form) remember their last few roots (``terms.memo_roots``), and the
-layers that build terms seed them: ``functors.strictify_expand`` hands its
-output's diagram to the normaliser, which hands its output's slices to
-``functors.nonstrictify`` and ``render.layout``.
+A composed root (``CompD``) stores its diagram (ends, boxes, adapter
+count) once walked (``terms._Composite``), and builders store what they
+know: ``functors.strictify_expand`` hands its output's diagram to the
+normaliser, which hands its output's slices to ``functors.nonstrictify``
+and ``render.layout``.  No walk stores records or slices.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from .terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
     TensorM, TermError, TypeMismatch, UnitL, UnitLInv, UnitR, UnitRInv,
-    Unit, UnknownName, _box_walk, _leaf_names, invert_structural,
-    is_structural, memo_roots, objsize, path_to, show_obj,
+    Unit, UnknownName, _box_walk, _Composite, _fact, _leaf_names, _store,
+    _stored_walk, invert_structural, is_structural, objsize, path_to, show_obj,
 )
 
 Wires = tuple  # tuple[ObjC, ...]
@@ -90,11 +90,14 @@ class UnitElim:
 
 
 @dataclass(frozen=True, slots=True)
-class CompD:
+class CompD(_Composite):
     first: "MorD"
     second: "MorD"
 
 
+# No ``facts`` slot: every strict builder returns a composition, so a
+# tensor root is a user's term or one slice, and tensors, which pad each
+# slice with identities, are most of a strict term's nodes.
 @dataclass(frozen=True, slots=True)
 class TensorD:
     left: "MorD"
@@ -121,15 +124,15 @@ def flatten_wires(w: Wires) -> tuple[str, ...]:
 
 
 def typecheck_d(t: MorD, sig: Signature) -> tuple[Wires, Wires]:
-    """Return (dom, cod) wire sequences of ``t``."""
-    dom, cod, _ = _records(t, sig)
+    """Return (dom, cod) wire sequences of ``t``, read from its diagram."""
+    dom, cod, _, _ = _diagram(t, sig)
     return dom, cod
 
 
 def _gen_ends(g: MorD, sig: Signature) -> tuple[Wires, Wires]:
     """(dom, cod) wire sequences of one generator node.  A lifted
-    composite is typechecked by the walk that remembers no roots: it is
-    a subterm, and the caller's roots should stay remembered."""
+    composite is typechecked by the walk that stores nothing: it is a
+    subterm, not the root of a call."""
     if isinstance(g, Lift):
         if isinstance(g.mor, Gen):
             if g.mor.name not in sig.generators:
@@ -212,30 +215,30 @@ def make_slice(left: Wires, gen: MorD, right: Wires, sig: Signature) -> Slice:
     return Slice(tuple(left), gen, tuple(right), d, c)
 
 
-@memo_roots
 def seq_normal_form(t: MorD, sig: Signature) -> SeqNF:
     """Factor ``t`` into slices.
 
     The result composes back to a term equal to ``t`` modulo the strict
     monoidal axioms only (functoriality of tensor and interchange);
     identities contribute no slices, a tensor ``t ⊗ u`` factors as
-    ``(t ⊗ id) ; (id ⊗ u)``.  It is remembered for the last eight roots
-    (see ``terms.memo_roots``); the normaliser remembers the slices it
-    recomposes its output from, so ``nonstrictify`` and ``layout`` of a
-    normal form do not walk it.
+    ``(t ⊗ id) ; (id ⊗ u)``.  The normaliser stores its output's slices
+    on it, so ``nonstrictify`` and ``layout`` of a normal form do not walk
+    it; any other term is walked, and nothing is stored.
     """
+    nf = _fact(t, sig, 2)
+    return _snf_walk(t, sig) if nf is None else nf
+
+
+def _snf_walk(t: MorD, sig: Signature) -> SeqNF:
+    """``seq_normal_form`` by walking ``t``."""
     dom, _, recs = _records(t, sig)
     return SeqNF(dom, _slices(recs, dom))
 
 
-@memo_roots
 def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple]:
     """Typecheck ``t`` and list its slices as records ``(pos, gen, gen_dom,
-    gen_cod)``: ``gen`` acts on the wires from index ``pos`` on.
-
-    The result, records as a tuple, is remembered for the last eight
-    roots walked (see ``terms.memo_roots``), so ``typecheck_d`` and
-    ``normalize_adapters`` on one term walk it once."""
+    gen_cod)``: ``gen`` acts on the wires from index ``pos`` on.  The
+    records are a tuple; nothing is stored."""
     recs: list = []
 
     def go(u: MorD, shift: int) -> tuple[Wires, Wires]:
@@ -476,17 +479,20 @@ def left_normal_form(items, cancels=None, max_steps: int | None = None,
     return out, steps
 
 
-@memo_roots
 def _diagram(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple | None, int]:
+    """``_diagram_walk(t, sig)``, stored on ``t``, so ``typecheck_d`` and
+    ``normalize_adapters`` on one term walk it once.  The boxes of
+    ``strictify_expand(f)`` are those of ``f``, in order, so the expansion
+    stores its diagram and normalising it walks nothing."""
+    return _stored_walk(_diagram_walk, t, sig)
+
+
+def _diagram_walk(t: MorD, sig: Signature) -> tuple:
     """``(dom, cod, boxes, adapters)`` of ``t``: its ends; the generator
     boxes of its records replayed from ``dom``, on base wires as
     ``terms._boxes`` lists them (each lifted morphism gives its own), or
     ``None`` when no lifted morphism has a generator; and its number of
-    adapter records.
-
-    Remembered for the last eight roots (see ``terms.memo_roots``).  The
-    boxes of ``strictify_expand(f)`` are those of ``f``, in order, so the
-    expansion remembers its diagram and normalising it walks nothing."""
+    adapter records."""
     dom, cod, recs = _records(t, sig)
     lifted = [g.mor for _, g, _, _ in recs if isinstance(g, Lift)]
     adapters = len(recs) - len(lifted)
@@ -561,7 +567,7 @@ def normalize_adapters_with_stats(
     boxes on base wires, the one ``equal_structural`` compares, and one
     more left insertion cancels inverse adapters it brings together.
     ``max_steps`` bounds the exchanges and cancellations of both passes.
-    The output's slices are remembered as its ``seq_normal_form``.
+    The output's slices are stored on it as its ``seq_normal_form``.
     """
     stats = RewriteStats()
     dom, cod, boxes, adapters = _diagram(t, sig)
@@ -577,7 +583,7 @@ def normalize_adapters_with_stats(
         stats.events = boxes
         slices = _slices([(p, *x) for p, x, _, _ in out], dom)
         term = recompose(slices, dom)
-        seq_normal_form.remember(term, sig, SeqNF(dom, slices))
+        _store(term, (sig, None, SeqNF(dom, slices)))
         return term, stats
     if dom == cod:
         stats.events.append("adapter-only endpoints coincide: identity")

@@ -15,11 +15,11 @@ Orientation conventions, fixed once for the whole package:
 and terms is syntactic; nothing is normalised implicitly.  Objects are
 interned: each structure has one live node, so ``==`` and ``hash`` on
 objects go by identity and mean what structural equality meant, at any
-depth.  A node stores its leaf count (``objsize``).  All values are frozen
-and safe to share between threads, and so are the intern tables and the
-memos of the typed walks (``memo_roots``), which a race can only make
-miss.  A layer that builds a term can seed such a memo with what it
-already knows (``remember``), so the next layer does not walk the term.
+depth.  A node stores its leaf count (``objsize``), and a composite term
+stores what a typed walk or the layer that built it found (``facts``), so
+the next layer does not walk it.  All values are frozen and safe to share
+between threads, and so are the intern tables and the facts, which a
+race can only make miss.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import wraps
 from types import MappingProxyType
 from typing import Mapping
 
@@ -253,14 +252,47 @@ class Gen:
     name: str
 
 
+class _Composite:
+    """The slot of ``Comp``, ``TensorM`` and ``strict.CompD`` besides their
+    fields: ``facts``, ``(sig, found, handed)`` for the last signature
+    ``sig`` the node was walked or built against as a root: ``found`` is
+    what the walk of its language found (``_boxes``, ``strict._diagram``),
+    ``handed`` the ``SeqNF`` a builder handed on.  Not a dataclass field,
+    so ``==``, ``hash``, ``repr``, copies and pickles leave it out; unset,
+    it reads as a miss.  Subterms met inside a walk store nothing."""
+    __slots__ = ("facts",)
+
+
+def _fact(t, sig: Signature, i: int):
+    """Item ``i`` of ``t``'s facts if they hold for ``sig``, else None."""
+    facts = getattr(t, "facts", None)
+    return facts[i] if facts is not None and facts[0] is sig else None
+
+
+def _store(t, facts: tuple) -> None:
+    """Replace ``t``'s facts whole (a leaf or a strict tensor keeps none).
+    They must be what the walks would find, as immutable terms keep."""
+    if isinstance(t, _Composite):
+        _set(t, "facts", facts)
+
+
+def _stored_walk(walk, t, sig: Signature):
+    """``walk(t, sig)``, stored on ``t``; errors are raised afresh."""
+    found = _fact(t, sig, 1)
+    if found is None:
+        found = walk(t, sig)
+        _store(t, (sig, found, _fact(t, sig, 2)))
+    return found
+
+
 @dataclass(frozen=True, slots=True)
-class Comp:
+class Comp(_Composite):
     first: "MorC"
     second: "MorC"
 
 
 @dataclass(frozen=True, slots=True)
-class TensorM:
+class TensorM(_Composite):
     left: "MorC"
     right: "MorC"
 
@@ -386,49 +418,14 @@ def typecheck_c(f: MorC, sig: Signature) -> tuple[ObjC, ObjC]:
     return dom, cod
 
 
-# How many roots ``memo_roots`` remembers per walk.
-_MEMO_ROOTS = 8
-
-
-def memo_roots(walk):
-    """``walk(t, sig)`` remembering its result for the last few roots.
-
-    A root is matched by the identity of the term and of the signature,
-    both of which the entry holds, so neither id can be reused while it is
-    remembered; terms and signatures are immutable, so the result is the
-    one the walk would give again.  Results must be immutable too.  An
-    error is raised afresh on every call and never stored.  The entries
-    are one tuple, rebound whole, so threads that race on it can lose an
-    entry (a later miss) but never read a wrong one.  The walk itself stays
-    available as ``__wrapped__``, for subterms built on the fly that should
-    not push a caller's roots out.
-
-    ``remember(t, sig, out)`` stores ``out`` as the walk's result for a
-    root without walking it, as a miss would.  A layer that builds a term
-    and already knows what the walk would find hands it on this way, and
-    the next layer skips the walk; ``out`` must equal ``walk(t, sig)``.
-    """
-    entries: tuple = ()
-
-    @wraps(walk)
-    def remembered(t, sig):
-        for entry in entries:
-            if entry[0] is t and entry[1] is sig:
-                return entry[2]
-        out = walk(t, sig)
-        remember(t, sig, out)
-        return out
-
-    def remember(t, sig, out) -> None:
-        nonlocal entries
-        entries = ((t, sig, out),) + entries[:_MEMO_ROOTS - 1]
-
-    remembered.remember = remember
-    return remembered
-
-
-@memo_roots
 def _boxes(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
+    """``_box_walk(f, sig)``, stored on ``f`` (see ``_stored_walk``), so
+    ``typecheck_c``, ``equal_structural`` and ``eval_mor`` on one term
+    walk it once."""
+    return _stored_walk(_box_walk, f, sig)
+
+
+def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
     """Typecheck ``f`` and list its generator boxes on base wires.
 
     Each ``Gen`` node gives a box ``(offset, name, n_in, n_out)``, in
@@ -437,11 +434,7 @@ def _boxes(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
     base wires from the left and puts ``n_out`` in their place.
     Structural nodes flatten to identities and give no box, so this is
     ``f`` as a diagram of the free strict monoidal category on the
-    flattened signature.
-
-    The result, boxes as a tuple, is remembered for the last eight roots
-    walked (see ``memo_roots``), so ``typecheck_c``, ``equal_structural``
-    and ``eval_mor`` on one term walk it once.
+    flattened signature.  The boxes are a tuple; nothing is stored.
     """
     gens = sig.generators
     boxes: list = []
@@ -499,9 +492,6 @@ def _boxes(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
     dom, cod = go(f, 0)
     return dom, cod, tuple(boxes)
 
-
-# ``_boxes`` remembering no roots
-_box_walk = _boxes.__wrapped__
 
 
 def path_to(root, node) -> str:

@@ -4,15 +4,15 @@ import threading
 
 import pytest
 
-from strictcat import demos, functors, strict
+from strictcat import demos, strict, terms
 from strictcat.terms import (
     UNIT, Assoc, AssocInv, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitLInv,
     UnitR, UnitRInv, _boxes, typecheck_c,
 )
 from strictcat.strict import (
     CompD, IdD, Lift, Pack, TensorD, UnitElim, UnitIntro, Unpack, _diagram,
-    chain_d, invert_d, normalize_adapters, normalize_adapters_with_stats,
-    seq_normal_form, typecheck_d,
+    _diagram_walk, _snf_walk, chain_d, invert_d, normalize_adapters,
+    normalize_adapters_with_stats, seq_normal_form, typecheck_d,
 )
 from strictcat.functors import (
     epsilon, eta, nonstrictify, obj_nonstrictify, psi_big, psi_small,
@@ -246,7 +246,8 @@ def test_monoidal_functor_laws_for_strictification(demo_sig, rng):
 
 def test_strictify_expand_typechecks_once(monkeypatch):
     # the endpoints of every subterm come out of the expansion itself, so
-    # only the root is typechecked, however deep the tensors nest
+    # only the root is typechecked, by one walk that also gives its boxes,
+    # however deep the tensors nest
     sig = demos.parity_signature()
     f = nonstrictify(demos.parity_term(12), sig)
     calls = []
@@ -257,7 +258,7 @@ def test_strictify_expand_typechecks_once(monkeypatch):
             return walk(g, s)
         return call
 
-    monkeypatch.setattr(functors, "typecheck_c", counting(typecheck_c))
+    monkeypatch.setattr(terms, "_box_walk", counting(terms._box_walk))
     monkeypatch.setattr(strict, "_box_walk", counting(strict._box_walk))
     strictify_expand(f, sig)
     assert calls == [f]
@@ -311,9 +312,9 @@ def test_strictify_expand_hands_on_the_diagram_of_its_input(demo_sig):
     for f, sig in _pin_inputs(demo_sig):
         t = strictify_expand(f, sig)
         handed = _diagram(t, sig)
-        # remembered, not walked: the boxes are those of ``f`` itself
+        # stored, not walked: the boxes are those of ``f`` itself
         assert handed[2] is (_boxes(f, sig)[2] or None)
-        assert handed == _diagram.__wrapped__(t, sig)
+        assert handed == _diagram_walk(t, sig)
 
 
 def test_normalize_hands_on_the_slices_of_its_output(demo_sig):
@@ -327,7 +328,7 @@ def test_normalize_hands_on_the_slices_of_its_output(demo_sig):
 
     for t, sig in cases():
         nf = normalize_adapters(t, sig)
-        assert seq_normal_form(nf, sig) == seq_normal_form.__wrapped__(nf, sig)
+        assert seq_normal_form(nf, sig) == _snf_walk(nf, sig)
 
 
 def test_strictify_normalize_read_back_walk_nothing(monkeypatch):
@@ -348,18 +349,42 @@ def test_strictify_normalize_read_back_walk_nothing(monkeypatch):
     columns = layout(nf, sig).columns
     assert calls == []
     assert typecheck_c(back, sig) == typecheck_c(f, sig)
-    assert len(columns) == len(seq_normal_form.__wrapped__(nf, sig).slices)
+    assert len(columns) == len(_snf_walk(nf, sig).slices)
+
+
+def test_hand_offs_hold_for_a_batch(monkeypatch):
+    # each term keeps its own facts, so a batch strictified before any of
+    # it is normalised gets the same hand-offs as a single term
+    sig = demos.parity_signature()
+    fs = [nonstrictify(demos.parity_term(n), sig) for n in range(3, 23)]
+    calls = []
+
+    def counting(g, s):
+        calls.append(g)
+        return ends(g, s)
+
+    ends = strict._gen_ends
+    monkeypatch.setattr(strict, "_gen_ends", counting)
+    expanded = [strictify_expand(f, sig) for f in fs]
+    nfs = [normalize_adapters(t, sig) for t in expanded]
+    backs = [nonstrictify(nf, sig) for nf in nfs]
+    for nf in nfs:
+        layout(nf, sig)
+    assert calls == []
+    for f, back in zip(fs, backs):
+        assert typecheck_c(back, sig) == typecheck_c(f, sig)
 
 
 def test_hand_offs_shared_between_threads(demo_sig):
-    # each thread strictifies, normalises and reads back its own inputs,
-    # over and over, so handed-on entries are pushed out by the other
-    # threads; every answer must be the one a single thread gets
+    # each thread strictifies, normalises and reads back its inputs, over
+    # and over, and each input is also another thread's, so threads store
+    # facts on the same roots at once; every answer must be the one a
+    # single thread gets
     psig = demos.parity_signature()
     inputs = [(nonstrictify(demos.parity_term(n), psig), psig)
               for n in range(3, 11)]
     inputs += [(random_mor(demo_sig, 3, seed), demo_sig) for seed in range(16)]
-    blocks = [inputs[k::4] for k in range(4)]
+    blocks = [inputs[k::4] + inputs[(k + 1) % 4::4] for k in range(4)]
 
     def answers(block):
         out = []

@@ -12,7 +12,7 @@ from strictcat.strict import (
     UnitElim, UnitIntro, Unpack, canonical_d, chain_d,
     flatten_wires, invert_d, normalize_adapters,
     normalize_adapters_with_stats, pack_obj, recompose, seq_normal_form,
-    typecheck_d, unpack_obj, _records,
+    typecheck_d, unpack_obj, _diagram, _records,
 )
 from strictcat.finmodel import eval_mor_d, extensional_equal
 from strictcat.functors import strictify_expand
@@ -436,8 +436,8 @@ def test_normalize_is_idempotent(seed):
     assert normalize_adapters(once, sig) == once
 
 
-# ``_records`` remembers its result for the last few roots, keyed by the
-# identity of both the term and the signature.
+# A composite root stores its diagram as its facts, for the signature it
+# was walked against, matched by identity; errors are never stored.
 
 
 def test_records_memo_keys_on_term_and_signature(demo_sig, catw_sig):
@@ -457,7 +457,7 @@ def test_records_memo_raises_again_on_an_ill_typed_root(demo_sig):
             typecheck_d(t, demo_sig)
         raised.append((type(err.value), str(err.value), err.value.position))
         errors.append(err.value)
-    # raised afresh, not replayed from the memo
+    # raised afresh, not replayed from the node's facts
     assert errors[0] is not errors[1]
     assert raised[0] == raised[1] == (
         TypeMismatch,
@@ -473,19 +473,23 @@ def test_records_memo_returns_records_no_caller_can_change(demo_sig):
     assert recs == expected
     with pytest.raises(AttributeError):
         recs.append(recs[0])
-    # the normaliser rewrites a copy: the remembered records stay as walked
+    # the normaliser rewrites a copy: the stored diagram stays as walked
+    diagram = _diagram(t, demo_sig)
+    assert diagram == ((X, Y), (Z,), ((0, "h", 2, 1),), 1)
     normalize_adapters(t, demo_sig)
+    assert _diagram(t, demo_sig) is diagram
     assert _records(t, demo_sig) == ((X, Y), (Z,), expected)
-    assert _records(t, demo_sig)[2] is recs
 
 
 def test_records_of_lift_expansions_keep_the_root_remembered(demo_sig):
-    # each lifted composite expands to a fresh term; walking those through
-    # the memo would push the root out
+    # each lifted composite is walked as a subterm, which stores nothing;
+    # the root keeps its diagram
     lifted = Lift(Comp(Gen("f"), Gen("g")))
     t = lifted
     for _ in range(9):
         t = TensorD(lifted, t)
-    recs = _records(t, demo_sig)
+    t = CompD(t, IdD((Z,) * 10))
+    diagram = _diagram(t, demo_sig)
     normalize_adapters(t, demo_sig)
-    assert _records(t, demo_sig) is recs
+    assert _diagram(t, demo_sig) is diagram
+    assert not hasattr(lifted.mor, "facts")

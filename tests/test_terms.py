@@ -15,7 +15,10 @@ from strictcat.terms import (
     flatten, _boxes, is_structural, make_signature, objsize, show_obj,
     substitute, typecheck_c, validate_obj,
 )
-from strictcat.strict import typecheck_d
+from strictcat.strict import (
+    IdD, Lift, TensorD, normalize_adapters, seq_normal_form, typecheck_d,
+)
+from strictcat.functors import strictify_expand
 from strictcat.finmodel import FinModel, eval_mor
 from strictcat.generate import random_dmor, random_mor, random_obj
 
@@ -180,8 +183,8 @@ def test_signature_is_read_only_and_hashable():
     assert {sig: 1}[same] == 1
 
 
-# The typed walk remembers its result for the last few roots, keyed by the
-# identity of both the term and the signature.
+# A composite root stores what the typed walk found at it as its facts, for
+# the signature it was walked against, matched by identity.
 
 
 def test_memo_keys_on_term_and_signature(demo_sig, catw_sig):
@@ -192,6 +195,15 @@ def test_memo_keys_on_term_and_signature(demo_sig, catw_sig):
         with pytest.raises(UnknownName) as err:
             typecheck_c(f, catw_sig)
         assert err.value.name == "f"
+    # a failed walk stores nothing; another signature's walk replaces the
+    # facts, and each signature still gets its own answer
+    assert f.facts[0] is demo_sig
+    loop = make_signature(["x", "y"], {"f": (X, Y), "g": (Y, X)})
+    for _ in range(2):
+        assert typecheck_c(f, loop) == (X, X)
+        assert f.facts[0] is loop
+        assert typecheck_c(f, demo_sig) == (X, Z)
+        assert f.facts[0] is demo_sig
 
 
 def test_memo_raises_again_on_an_ill_typed_root(catw_sig):
@@ -202,7 +214,7 @@ def test_memo_raises_again_on_an_ill_typed_root(catw_sig):
             typecheck_c(t, catw_sig)
         raised.append((type(err.value), str(err.value), err.value.position))
         errors.append(err.value)
-    # raised afresh, not replayed from the memo
+    # raised afresh, not replayed from the node's facts
     assert errors[0] is not errors[1]
     assert raised[0] == raised[1] == (
         TypeMismatch, "type mismatch at root.second: W composed against (I * W)",
@@ -215,15 +227,56 @@ def test_memo_returns_boxes_no_caller_can_change(demo_sig):
     assert boxes == ((0, "f", 1, 1), (1, "g", 1, 1))
     with pytest.raises(AttributeError):
         boxes.append((0, "g", 1, 1))
-    # the second call is answered from the memo, with the same boxes
+    # the second call is answered from the node's facts, with the same boxes
     assert _boxes(f, demo_sig) == (dom, cod, ((0, "f", 1, 1), (1, "g", 1, 1)))
     assert _boxes(f, demo_sig)[2] is boxes
+    # a subterm met inside the walk stores nothing
+    assert not hasattr(f.first, "facts")
+
+
+def test_facts_are_not_part_of_the_term(demo_sig):
+    # each maker builds a fresh term; each walk fills its root's facts
+    # and answers from them on the next call
+    def snf(t):
+        return typecheck_d(t, demo_sig), seq_normal_form(t, demo_sig)
+
+    cases = [
+        (lambda: Comp(TensorM(Gen("f"), Id(Y)), TensorM(Id(Y), Gen("g"))),
+         lambda t: _boxes(t, demo_sig)),
+        (lambda: TensorM(Gen("f"), Comp(Gen("g"), Id(Z))),
+         lambda t: _boxes(t, demo_sig)),
+        # a normal form holds its slices from the normaliser, too
+        (lambda: normalize_adapters(
+            strictify_expand(Comp(Gen("f"), Gen("g")), demo_sig), demo_sig),
+         snf),
+        # a strict tensor has no slot, and each walk of it is a miss
+        (lambda: TensorD(Lift(Gen("f")), IdD((Y,))), snf),
+    ]
+    for make, walk in cases:
+        t = make()
+        answer = walk(t)
+        keeps = not isinstance(t, TensorD)
+        assert hasattr(t, "facts") is keeps
+        assert keeps is False or t.facts[0] is demo_sig
+        assert walk(t) == answer
+        fresh = make()
+        assert t == fresh and hash(t) == hash(fresh)
+        assert repr(t) == repr(fresh)
+        assert {t: 1}[fresh] == 1
+        copies = (copy.copy(t), copy.deepcopy(t),
+                  pickle.loads(pickle.dumps(t)))
+        for other in copies:
+            assert other == t and hash(other) == hash(t)
+            # the copy's first walk is a miss, and it answers as ``t`` did
+            assert not hasattr(other, "facts")
+            assert walk(other) == answer
+            assert hasattr(other, "facts") is keeps
 
 
 def test_typed_walks_shared_between_threads(demo_sig):
-    # each thread walks its own terms, over and over, so roots are both
-    # remembered and pushed out by the other threads; every answer must be
-    # the one a single thread gets
+    # each thread walks its own terms, over and over, and stores facts on
+    # them while the other threads store theirs; every answer must be the
+    # one a single thread gets
     model = FinModel(demo_sig, seed=5)
 
     def answers(seeds):

@@ -1,10 +1,11 @@
 """Worked constructions used by the CLI demo command and the test suite.
 
 ``parity_term`` builds the recursive parity circuit over a single-wire
-bundle of bits: split one bit off the bundle, recurse on the rest, fuse
-the two results and apply the xor generator.  This is exactly the kind
-of definition a strict wire-list language cannot express, because it
-treats an n-bit bundle as a 1/(n-1) pair.
+bundle of bits: split one bit off the bundle, take the parity of the
+rest, fuse the two results and apply the xor generator.  This is exactly
+the kind of definition a strict wire-list language cannot express,
+because it treats an n-bit bundle as a 1/(n-1) pair.  The circuit is
+built bottom-up in a loop, so any number of bits works.
 
 The ``ba_*`` builders encode the double-dual comparison map of a braided
 autonomous category with three opaque generators (the two adjunction
@@ -23,6 +24,7 @@ from .terms import (
 from .strict import (
     IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack, chain_d,
 )
+from .functors import obj_nonstrictify
 
 # ---------------------------------------------------------------------------
 # Parity
@@ -36,22 +38,23 @@ def parity_signature() -> Signature:
 
 def bit_bundle(n: int) -> ObjC:
     """Right-nested bundle of ``n`` bits, ``n >= 1``."""
-    if n == 1:
-        return BIT
-    return Tensor(BIT, bit_bundle(n - 1))
+    return obj_nonstrictify((BIT,) * n)
 
 
 def parity_term(n: int) -> MorD:
     """Parity of an ``n``-bit bundle, one wire in and one wire out."""
     if n < 1:
         raise ValueError("parity needs at least one bit")
-    if n == 1:
-        return IdD((BIT,))
-    return chain_d(
-        Unpack(BIT, bit_bundle(n - 1)),
-        TensorD(IdD((BIT,)), parity_term(n - 1)),
-        Pack(BIT, BIT),
-        Lift(Gen("xor")))
+    out, rest = IdD((BIT,)), BIT
+    for _ in range(n - 1):
+        # ``out`` is the parity of ``rest``, a bundle of one bit fewer
+        out = chain_d(
+            Unpack(BIT, rest),
+            TensorD(IdD((BIT,)), out),
+            Pack(BIT, BIT),
+            Lift(Gen("xor")))
+        rest = Tensor(BIT, rest)
+    return out
 
 
 # ---------------------------------------------------------------------------

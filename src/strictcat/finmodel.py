@@ -22,7 +22,6 @@ reproducible table per generator name.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +29,7 @@ from functools import cached_property
 from .terms import (
     Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
     TensorM, TermError, UnitL, UnitLInv, UnitR, UnitRInv, Unit, _boxes,
-    show_obj,
+    _leaf_names, _postorder, show_obj,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
@@ -95,36 +94,43 @@ class FinModel:
 
     def carrier(self, a) -> tuple:
         """Elements of an object, or element tuples of a wire sequence,
-        in mixed-radix index order."""
-        cached = self._carriers.get(a)
-        if cached is not None:
-            return cached
-        if isinstance(a, tuple):
-            out = tuple(itertools.product(*map(self.carrier, a)))
-        elif isinstance(a, Unit):
-            out = (UNIT_ELEM,)
-        elif isinstance(a, Base):
-            if a.name not in self.sizes:
-                raise TermError(f"no carrier for base {a.name!r}")
-            out = tuple(Atom(i) for i in range(self.sizes[a.name]))
-        elif isinstance(a, Tensor):
-            halves = map(self.carrier, (a.left, a.right))
-            out = tuple(Pair(x, y) for x, y in itertools.product(*halves))
-        else:
-            raise TypeError(a)
-        self._carriers[a] = out
-        return out
+        in mixed-radix index order.  Each part's carrier is made first,
+        leftmost first, off an explicit stack, and kept."""
+        carriers = self._carriers
+        stack = [a]
+        while a not in carriers:
+            b = stack[-1]
+            parts = (b if isinstance(b, tuple) else
+                     (b.left, b.right) if isinstance(b, Tensor) else ())
+            todo = [p for p in parts if p not in carriers]
+            if todo:
+                stack += reversed(todo)
+                continue
+            stack.pop()
+            if isinstance(b, (tuple, Tensor)):
+                out = itertools.product(*[carriers[p] for p in parts])
+                carriers[b] = (tuple(out) if isinstance(b, tuple) else
+                               tuple(Pair(x, y) for x, y in out))
+            elif isinstance(b, Unit):
+                carriers[b] = (UNIT_ELEM,)
+            elif isinstance(b, Base):
+                if b.name not in self.sizes:
+                    raise TermError(f"no carrier for base {b.name!r}")
+                carriers[b] = tuple(Atom(i) for i in range(self.sizes[b.name]))
+            else:
+                raise TypeError(b)
+        return carriers[a]
 
     def size(self, a) -> int:
-        """Number of elements of an object or of a wire sequence."""
+        """Number of elements of an object or of a wire sequence: the
+        product of its base leaves' carrier sizes."""
         n = self._sizes.get(a)
         if n is None:
-            if isinstance(a, tuple):
-                n = math.prod(map(self.size, a))
-            elif isinstance(a, Tensor):
-                n = self.size(a.left) * self.size(a.right)
-            else:
-                n = len(self.carrier(a))
+            n = 1
+            for name in _leaf_names(a if isinstance(a, tuple) else (a,)):
+                if name not in self.sizes:
+                    raise TermError(f"no carrier for base {name!r}")
+                n *= self.sizes[name]
             self._sizes[a] = n
         return n
 
@@ -173,33 +179,39 @@ def eval_mor_d(t: MorD, model: FinModel) -> FuncTable:
 
 
 def _eval(t, model: FinModel) -> tuple[tuple[int, ...], int]:
-    """``(table, |cod|)`` of a well-typed term of either category."""
-    if isinstance(t, (Comp, CompD)):
-        first, _ = _eval(t.first, model)
-        second, m = _eval(t.second, model)
-        return tuple([second[i] for i in first]), m
-    if isinstance(t, (TensorM, TensorD)):
-        left, m1 = _eval(t.left, model)
-        right, m2 = _eval(t.right, model)
-        return tuple([a * m2 + b for a in left for b in right]), m1 * m2
-    if isinstance(t, Gen):
-        return model._tables[t.name]
-    if isinstance(t, Lift):
-        return _eval(t.mor, model)
-    # every other node is structural: the identity on its domain
-    if isinstance(t, (Id, UnitL, UnitLInv, UnitR, UnitRInv)):
-        n = model.size(t.obj)
-    elif isinstance(t, (Assoc, AssocInv)):
-        n = model.size((t.a, t.b, t.c))
-    elif isinstance(t, (Pack, Unpack)):
-        n = model.size((t.left, t.right))
-    elif isinstance(t, IdD):
-        n = model.size(t.wires)
-    elif isinstance(t, (UnitIntro, UnitElim)):
-        n = 1
-    else:
-        raise TypeError(t)
-    return tuple(range(n)), n
+    """``(table, |cod|)`` of a well-typed term of either category, from its
+    nodes in post-order; a lift's morphism is walked in the lift's place."""
+    out: list = []
+    todo = _postorder(t)
+    todo.reverse()
+    while todo:
+        u = todo.pop()
+        if isinstance(u, (Comp, CompD)):
+            second, m = out.pop()
+            out[-1] = tuple([second[i] for i in out[-1][0]]), m
+        elif isinstance(u, (TensorM, TensorD)):
+            right, m2 = out.pop()
+            left, m1 = out[-1]
+            out[-1] = tuple([a * m2 + b for a in left for b in right]), m1 * m2
+        elif isinstance(u, Gen):
+            out.append(model._tables[u.name])
+        elif isinstance(u, Lift):
+            todo += reversed(_postorder(u.mor))
+        else:  # any other node is structural: the identity on its domain
+            if isinstance(u, (Id, UnitL, UnitLInv, UnitR, UnitRInv)):
+                n = model.size(u.obj)
+            elif isinstance(u, (Assoc, AssocInv)):
+                n = model.size((u.a, u.b, u.c))
+            elif isinstance(u, (Pack, Unpack)):
+                n = model.size((u.left, u.right))
+            elif isinstance(u, IdD):
+                n = model.size(u.wires)
+            elif isinstance(u, (UnitIntro, UnitElim)):
+                n = 1
+            else:
+                raise TypeError(u)
+            out.append((tuple(range(n)), n))
+    return out[0]
 
 
 def extensional_equal(x: FuncTable, y: FuncTable) -> bool:

@@ -3,8 +3,8 @@
 ``strictify_shallow`` lifts a morphism onto a single wire;
 ``strictify_expand`` pushes it all the way down to adapters around the
 signature generators.  ``nonstrictify`` reads a strict term back as a
-morphism of the underlying category by recursing over its sequential
-normal form, one slice at a time.  ``psi_big``/``psi_small`` and
+morphism of the underlying category from its sequential normal form,
+one slice at a time.  ``psi_big``/``psi_small`` and
 ``epsilon``/``eta`` are the coherence data making both directions
 monoidal and mutually inverse up to isomorphism.
 
@@ -52,11 +52,12 @@ def strictify_expand(f: MorC, sig: Signature) -> MorD:
 
 def obj_nonstrictify(x: Wires) -> ObjC:
     """Read a wire sequence as a right-nested tensor; empty is the unit."""
-    if len(x) == 0:
+    if not x:
         return UNIT
-    if len(x) == 1:
-        return x[0]
-    return Tensor(x[0], obj_nonstrictify(x[1:]))
+    out = x[-1]
+    for label in reversed(x[:-1]):
+        out = Tensor(label, out)
+    return out
 
 
 def _g_generator(gen: MorD) -> MorC:
@@ -100,20 +101,25 @@ def _g_last(a: ObjC, gen: MorD) -> MorC:
 
 
 def _g_slice(left: Wires, gen: MorD, right: Wires) -> MorC:
-    if len(left) == 1 and not right:
-        return _g_last(left[0], gen)
-    if left:
-        return TensorM(Id(left[0]), _g_slice(left[1:], gen, right))
+    # The generator with what is right of it, then one identity wire
+    # tensored on the left per wire of ``left``, innermost first.
     if right:
-        return _g_generator_padded(gen, right)
-    return _g_generator(gen)
+        out = _g_generator_padded(gen, right)
+    elif left:
+        out, left = _g_last(left[-1], gen), left[:-1]
+    else:
+        out = _g_generator(gen)
+    for a in reversed(left):
+        out = TensorM(Id(a), out)
+    return out
 
 
 def nonstrictify(t: MorD, sig: Signature) -> MorC:
     """Map a strict term back into the underlying category.
 
     Works slice by slice over the sequential normal form; each slice is
-    a list recursion with separate cases for one, two and n wires.
+    its generator, with separate cases for no, one and more wires beside
+    it, under one identity wire per wire on its left.
     """
     nf = seq_normal_form(t, sig)
     if not nf.slices:
@@ -132,12 +138,13 @@ def psi_big(x: Wires, y: Wires) -> MorC:
         return UnitR(obj_nonstrictify(x))
     if not x:
         return UnitL(obj_nonstrictify(y))
-    if len(x) == 1:
-        return Id(Tensor(x[0], obj_nonstrictify(y)))
-    head, rest = x[0], x[1:]
-    return Comp(
-        AssocInv(head, obj_nonstrictify(rest), obj_nonstrictify(y)),
-        TensorM(Id(head), psi_big(rest, y)))
+    gy = obj_nonstrictify(y)
+    rest = x[-1]
+    out = Id(Tensor(rest, gy))
+    for head in reversed(x[:-1]):  # ``rest`` is G of the wires after it
+        out = Comp(AssocInv(head, rest, gy), TensorM(Id(head), out))
+        rest = Tensor(head, rest)
+    return out
 
 
 def psi_small() -> MorC:
@@ -151,12 +158,12 @@ def eta(a: ObjC) -> MorC:
 
 def epsilon(x: Wires) -> MorD:
     """Counit component ``F(G(x)) -> x``, unpacking one wire at a time."""
-    if len(x) == 0:
+    if not x:
         return UnitElim()
-    if len(x) == 1:
-        return IdD(x)
-    head, rest = x[0], x[1:]
-    return CompD(
-        Unpack(head, obj_nonstrictify(rest)),
-        TensorD(IdD((head,)), epsilon(rest)))
+    rest = x[-1]
+    out = IdD((rest,))
+    for head in reversed(x[:-1]):  # ``rest`` is G of the wires after it
+        out = CompD(Unpack(head, rest), TensorD(IdD((head,)), out))
+        rest = Tensor(head, rest)
+    return out
 

@@ -2,7 +2,9 @@
 
 Morphisms are generated top-down from a chosen domain, picking only
 moves that typecheck, so every produced term is well typed by
-construction.  All generators are deterministic for a fixed seed.
+construction.  A part's ends come from the walks that store nothing
+(``terms._box_walk``, ``strict._records``): a part is a subterm of the
+result, not a root.  All generators are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ import random
 
 from .terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature,
-    Tensor, TensorM, UnitL, UnitLInv, UnitR, UnitRInv, Unit, flatten,
-    typecheck_c,
+    Tensor, TensorM, UnitL, UnitLInv, UnitR, UnitRInv, Unit, _box_walk,
+    flatten,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, canonical_d, chain_d, flatten_wires, make_slice, slice_term,
-    typecheck_d,
+    Wires, _records, canonical_d, chain_d, flatten_wires, make_slice,
+    slice_term,
 )
 
 
@@ -72,7 +74,7 @@ def random_mor_from(sig: Signature, dom: ObjC, depth: int,
             return TensorM(go(a.left, d - 1), go(a.right, d - 1))
         if kind == "comp":
             f = go(a, d - 1)
-            _, mid = typecheck_c(f, sig)
+            _, mid, _ = _box_walk(f, sig)
             return Comp(f, go(mid, d - 1))
         return rng.choice(leaves(a))
 
@@ -87,7 +89,7 @@ def random_structural_walk(a: ObjC, steps: int, seed=0) -> MorC:
     current = a
     for _ in range(steps):
         move = _nth_move(current, rng.choice(range(_move_count(current))))
-        current = typecheck_c(move, sig)[1]
+        current = _box_walk(move, sig)[1]
         term = move if term is None else Comp(term, move)
     return term if term is not None else Id(a)
 
@@ -189,7 +191,7 @@ def random_singleton_adapter_term(sig: Signature, start_label: ObjC,
     rng = _rng(seed)
     walk = random_adapter_walk(sig, (start_label,), steps, rng,
                                structural_lifts=structural_lifts)
-    _, cod = typecheck_d(walk, sig)
+    _, cod, _ = _records(walk, sig)
     target = random_bracketing([Base(n) for n in flatten_wires(cod)], rng)
     closing = canonical_d(cod, (target,))
     return CompD(walk, closing)
@@ -225,17 +227,17 @@ def random_dmor(sig: Signature, depth: int, seed=0) -> MorD:
             if rng.random() < 0.5:
                 return walk
             if rng.random() < 0.2:
-                return CompD(walk, IdD(typecheck_d(walk, sig)[1]))
+                return CompD(walk, IdD(_records(walk, sig)[1]))
             return lift_onto(walk)
         if roll < 0.7:
             a = go(d - 1)
-            _, mid = typecheck_d(a, sig)
+            _, mid, _ = _records(a, sig)
             walk = random_adapter_walk(sig, mid, rng.randint(1, 2), rng)
             return CompD(a, walk)
         return TensorD(go(d - 1), go(d - 1))
 
     def lift_onto(walk: MorD) -> MorD:
-        _, cod = typecheck_d(walk, sig)
+        _, cod, _ = _records(walk, sig)
         if not cod:
             return walk
         i = rng.randrange(len(cod))

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Signature, show_obj
+from .terms import Signature
 from .strict import (
     Lift, MorD, Pack, Slice, UnitElim, UnitIntro, Unpack, seq_normal_form,
 )
-from .syntax import show_cmor
+from .syntax import _Shown, show_cmor
 
 
 @dataclass(frozen=True)
@@ -34,18 +34,6 @@ class DiagramLayout:
     dom: tuple[str, ...]
     cod: tuple[str, ...]
     columns: tuple[ColumnLayout, ...]
-
-
-class _Shown(dict):
-    """Wire labels shown so far, by node: labels are interned, so each
-    distinct label is shown once however many wires carry it."""
-
-    def __missing__(self, label):
-        text = self[label] = show_obj(label)
-        return text
-
-    def wires(self, w) -> tuple[str, ...]:
-        return tuple(map(self.__getitem__, w))
 
 
 def _column_of(index: int, s: Slice, shown: _Shown) -> ColumnLayout:

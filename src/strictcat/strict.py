@@ -33,17 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .terms import (
-    UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature, Tensor,
-    TensorM, TermError, TypeMismatch, UnitL, UnitLInv, UnitR, UnitRInv,
-    Unit, UnknownName, _box_walk, _Composite, _fact, _leaf_names, _store,
-    _stored_walk, invert_structural, is_structural, objsize, path_to, show_obj,
+    UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, NotInvertible, ObjC,
+    Signature, Tensor, TensorM, TermError, TypeMismatch, UnitL, UnitLInv,
+    UnitR, UnitRInv, Unit, _box_walk, _Composite, _fact, _INVERSE,
+    _leaf_names, _PARS, _placed, _postorder, _SEQS, _store, _stored_walk,
+    _Term, invert_structural, path_to, show_obj,
 )
 
 Wires = tuple  # tuple[ObjC, ...]
-
-
-class NotInvertible(TermError):
-    pass
 
 
 class FlatteningMismatch(TermError):
@@ -62,8 +59,8 @@ class IdD:
     wires: Wires
 
 
-@dataclass(frozen=True, slots=True)
-class Lift:
+@dataclass(frozen=True, slots=True, eq=False)
+class Lift(_Term):
     mor: MorC
 
 
@@ -89,8 +86,8 @@ class UnitElim:
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class CompD(_Composite):
+@dataclass(frozen=True, slots=True, eq=False)
+class CompD(_Composite, _Term):
     first: "MorD"
     second: "MorD"
 
@@ -98,13 +95,15 @@ class CompD(_Composite):
 # No ``facts`` slot: every strict builder returns a composition, so a
 # tensor root is a user's term or one slice, and tensors, which pad each
 # slice with identities, are most of a strict term's nodes.
-@dataclass(frozen=True, slots=True)
-class TensorD:
+@dataclass(frozen=True, slots=True, eq=False)
+class TensorD(_Term):
     left: "MorD"
     right: "MorD"
 
 
 MorD = IdD | Lift | Pack | Unpack | UnitIntro | UnitElim | CompD | TensorD
+_SEQS.add(CompD)  # so that ``terms._postorder`` walks strict terms too
+_PARS.add(TensorD)
 
 
 def chain_d(*ts: MorD) -> MorD:
@@ -134,12 +133,7 @@ def _gen_ends(g: MorD, sig: Signature) -> tuple[Wires, Wires]:
     composite is typechecked by the walk that stores nothing: it is a
     subterm, not the root of a call."""
     if isinstance(g, Lift):
-        if isinstance(g.mor, Gen):
-            if g.mor.name not in sig.generators:
-                raise UnknownName(g.mor.name)
-            d, c = sig.generators[g.mor.name]
-        else:
-            d, c, _ = _box_walk(g.mor, sig)
+        d, c, _ = _box_walk(g.mor, sig)
         return (d,), (c,)
     if isinstance(g, Pack):
         return (g.left, g.right), (Tensor(g.left, g.right),)
@@ -153,26 +147,13 @@ def _gen_ends(g: MorD, sig: Signature) -> tuple[Wires, Wires]:
 
 
 # Each adapter type and the type of its inverse, which has the same fields.
-_INVERSE = {Pack: Unpack, Unpack: Pack,
-            UnitIntro: UnitElim, UnitElim: UnitIntro}
+_INVERSE.update({IdD: IdD, Pack: Unpack, Unpack: Pack,
+                 UnitIntro: UnitElim, UnitElim: UnitIntro})
 
 
 def invert_d(t: MorD) -> MorD:
     """Formal inverse; defined when every lifted morphism is structural."""
-    if isinstance(t, IdD):
-        return t
-    if isinstance(t, Lift):
-        try:
-            return Lift(invert_structural(t.mor))
-        except TermError as err:
-            raise NotInvertible(str(err)) from None
-    if type(t) in _INVERSE:
-        return _INVERSE[type(t)](*(getattr(t, f) for f in t.__slots__))
-    if isinstance(t, CompD):
-        return CompD(invert_d(t.second), invert_d(t.first))
-    if isinstance(t, TensorD):
-        return TensorD(invert_d(t.left), invert_d(t.right))
-    raise TypeError(t)
+    return invert_structural(t)
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +220,51 @@ def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple]:
     """Typecheck ``t`` and list its slices as records ``(pos, gen, gen_dom,
     gen_cod)``: ``gen`` acts on the wires from index ``pos`` on.  The
     records are a tuple; nothing is stored."""
-    recs: list = []
+    dom, cod, recs, diff, _ = _record_walk(t, sig)
+    return dom, cod, _placed(recs, diff)
 
-    def go(u: MorD, shift: int) -> tuple[Wires, Wires]:
-        # appends the records of ``u`` acting at ``shift``
-        if isinstance(u, IdD):
-            return u.wires, u.wires
-        if isinstance(u, CompD):
-            d1, c1 = go(u.first, shift)
-            d2, c2 = go(u.second, shift)
+
+def _record_walk(t: MorD, sig: Signature) -> tuple:
+    """``(dom, cod, recs, diff, lifts)``: ``_records(t, sig)`` before
+    ``diff`` places the records (``terms._placed``), and the boxes of each
+    lifted morphism in record order, from the one walk that types it."""
+    recs: list = []
+    lifts: list = []
+    diff = [0]  # one more entry than recs; see ``terms._placed``
+    ends: list = []  # (dom, cod, first record) of each finished subterm
+    k = 0  # the number of records so far
+    for u in _postorder(t):
+        cls = type(u)
+        if cls is IdD:
+            ends.append((u.wires, u.wires, k))
+        elif cls is CompD:
+            d2, c2, _ = ends.pop()
+            d1, c1, n = ends[-1]
             if c1 != d2:
                 raise TypeMismatch(
                     path_to(t, u),
                     f"{show_wires(c1)} composed against {show_wires(d2)}")
-            return d1, c2
-        if isinstance(u, TensorD):
-            d1, c1 = go(u.left, shift)
-            d2, c2 = go(u.right, shift + len(c1))
-            return d1 + d2, c1 + c2
-        d, c = _gen_ends(u, sig)
-        recs.append((shift, u, d, c))
-        return d, c
-
-    dom, cod = go(t, 0)
-    return dom, cod, tuple(recs)
+            ends[-1] = d1, c2, n
+        elif cls is TensorD:
+            d2, c2, n2 = ends.pop()
+            d1, c1, n = ends[-1]
+            if c1 and k > n2:
+                diff[n2] += len(c1)
+                diff[k] -= len(c1)
+            ends[-1] = d1 + d2, c1 + c2, n
+        else:
+            if cls is Lift:
+                d, c, boxes = _box_walk(u.mor, sig)
+                d, c = (d,), (c,)
+                lifts.append(boxes)
+            else:
+                d, c = _gen_ends(u, sig)
+            ends.append((d, c, k))
+            recs.append((u, d, c))
+            diff.append(0)
+            k += 1
+    dom, cod, _ = ends[0]
+    return dom, cod, recs, diff, lifts
 
 
 def _slices(recs, dom: Wires) -> tuple[Slice, ...]:
@@ -340,8 +342,9 @@ def _label_packing(label: ObjC) -> tuple[MorD, MorD]:
             if todo:
                 stack += todo
                 continue
-            (ul, pl), (ur, pr) = map(_label_packing, (node.left, node.right))
             l, r = node.left, node.right
+            (ul, pl), (ur, pr) = ((IdD((h,)),) * 2 if isinstance(h, Base)
+                                  else h.packing for h in (l, r))
             object.__setattr__(node, "packing", (
                 CompD(Unpack(l, r), TensorD(ul, ur)),
                 CompD(TensorD(pl, pr), Pack(l, r))))
@@ -396,46 +399,55 @@ def _expand(f: MorC, sig: Signature) -> tuple[MorD, ObjC, ObjC, int]:
     unitor images are the fixed composites whose orientation is the one
     that typechecks.
     """
-    if isinstance(f, Id):
-        return IdD((f.obj,)), f.obj, f.obj, 0
-    if isinstance(f, Gen):
-        return (Lift(f), *sig.generators[f.name], 0)
-    if isinstance(f, Comp):
-        t1, d1, _, n1 = _expand(f.first, sig)
-        t2, _, c2, n2 = _expand(f.second, sig)
-        return CompD(t1, t2), d1, c2, n1 + n2
-    if isinstance(f, TensorM):
-        t1, d1, c1, n1 = _expand(f.left, sig)
-        t2, d2, c2, n2 = _expand(f.right, sig)
-        return (chain_d(Unpack(d1, d2), TensorD(t1, t2), Pack(c1, c2)),
-                Tensor(d1, d2), Tensor(c1, c2), n1 + n2 + 2)
-    if isinstance(f, Assoc):
-        bc, ab = Tensor(f.b, f.c), Tensor(f.a, f.b)
-        return chain_d(
-            Unpack(f.a, bc),
-            TensorD(IdD((f.a,)), Unpack(f.b, f.c)),
-            TensorD(Pack(f.a, f.b), IdD((f.c,))),
-            Pack(ab, f.c)), Tensor(f.a, bc), Tensor(ab, f.c), 4
-    if isinstance(f, AssocInv):
-        bc, ab = Tensor(f.b, f.c), Tensor(f.a, f.b)
-        return chain_d(
-            Unpack(ab, f.c),
-            TensorD(Unpack(f.a, f.b), IdD((f.c,))),
-            TensorD(IdD((f.a,)), Pack(f.b, f.c)),
-            Pack(f.a, bc)), Tensor(ab, f.c), Tensor(f.a, bc), 4
-    if isinstance(f, UnitL):
-        return (CompD(Unpack(UNIT, f.obj), TensorD(UnitElim(), IdD((f.obj,)))),
-                Tensor(UNIT, f.obj), f.obj, 2)
-    if isinstance(f, UnitLInv):
-        return (CompD(TensorD(UnitIntro(), IdD((f.obj,))), Pack(UNIT, f.obj)),
-                f.obj, Tensor(UNIT, f.obj), 2)
-    if isinstance(f, UnitR):
-        return (CompD(Unpack(f.obj, UNIT), TensorD(IdD((f.obj,)), UnitElim())),
-                Tensor(f.obj, UNIT), f.obj, 2)
-    if isinstance(f, UnitRInv):
-        return (CompD(TensorD(IdD((f.obj,)), UnitIntro()), Pack(f.obj, UNIT)),
-                f.obj, Tensor(f.obj, UNIT), 2)
-    raise TypeError(f)
+    out: list = []  # (image, dom, cod, adapters) of each finished subterm
+    for u in _postorder(f):
+        cls = type(u)
+        if cls is Comp:
+            t2, _, c2, n2 = out.pop()
+            t1, d1, _, n1 = out[-1]
+            out[-1] = CompD(t1, t2), d1, c2, n1 + n2
+        elif cls is TensorM:
+            t2, d2, c2, n2 = out.pop()
+            t1, d1, c1, n1 = out[-1]
+            out[-1] = (chain_d(Unpack(d1, d2), TensorD(t1, t2), Pack(c1, c2)),
+                       Tensor(d1, d2), Tensor(c1, c2), n1 + n2 + 2)
+        elif cls is Id:
+            out.append((IdD((u.obj,)), u.obj, u.obj, 0))
+        elif cls is Gen:
+            out.append((Lift(u), *sig.generators[u.name], 0))
+        elif cls is Assoc:
+            bc, ab = Tensor(u.b, u.c), Tensor(u.a, u.b)
+            out.append((chain_d(
+                Unpack(u.a, bc),
+                TensorD(IdD((u.a,)), Unpack(u.b, u.c)),
+                TensorD(Pack(u.a, u.b), IdD((u.c,))),
+                Pack(ab, u.c)), Tensor(u.a, bc), Tensor(ab, u.c), 4))
+        elif cls is AssocInv:
+            bc, ab = Tensor(u.b, u.c), Tensor(u.a, u.b)
+            out.append((chain_d(
+                Unpack(ab, u.c),
+                TensorD(Unpack(u.a, u.b), IdD((u.c,))),
+                TensorD(IdD((u.a,)), Pack(u.b, u.c)),
+                Pack(u.a, bc)), Tensor(ab, u.c), Tensor(u.a, bc), 4))
+        elif cls is UnitL:
+            x = u.obj
+            out.append((CompD(Unpack(UNIT, x), TensorD(UnitElim(), IdD((x,)))),
+                        Tensor(UNIT, x), x, 2))
+        elif cls is UnitLInv:
+            x = u.obj
+            out.append((CompD(TensorD(UnitIntro(), IdD((x,))), Pack(UNIT, x)),
+                        x, Tensor(UNIT, x), 2))
+        elif cls is UnitR:
+            x = u.obj
+            out.append((CompD(Unpack(x, UNIT), TensorD(IdD((x,)), UnitElim())),
+                        Tensor(x, UNIT), x, 2))
+        elif cls is UnitRInv:
+            x = u.obj
+            out.append((CompD(TensorD(IdD((x,)), UnitIntro()), Pack(x, UNIT)),
+                        x, Tensor(x, UNIT), 2))
+        else:
+            raise TypeError(u)
+    return out[0]
 
 
 def left_normal_form(items, cancels=None, max_steps: int | None = None,
@@ -490,43 +502,51 @@ def _diagram(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple | None, int]:
 def _diagram_walk(t: MorD, sig: Signature) -> tuple:
     """``(dom, cod, boxes, adapters)`` of ``t``: its ends; the generator
     boxes of its records replayed from ``dom``, on base wires as
-    ``terms._boxes`` lists them (each lifted morphism gives its own), or
-    ``None`` when no lifted morphism has a generator; and its number of
-    adapter records."""
-    dom, cod, recs = _records(t, sig)
-    lifted = [g.mor for _, g, _, _ in recs if isinstance(g, Lift)]
-    adapters = len(recs) - len(lifted)
-    if all(map(is_structural, lifted)):
+    ``terms._boxes`` lists them (each lifted morphism gives its own, from
+    the walk that typechecked it), or ``None`` when no lifted morphism has
+    a generator; and its number of adapter records."""
+    dom, cod, recs, diff, lifts = _record_walk(t, sig)
+    adapters = len(recs) - len(lifts)
+    if not any(lifts):
         return dom, cod, None, adapters
-    widths = [objsize(x) for x in dom]
+    lifted = iter(lifts)
+    widths = [x.size for x in dom]
     boxes: list = []
-    for pos, gen, d, c in recs:
+    for pos, gen, d, c in _placed(recs, diff):
         if isinstance(gen, Lift):
             at = sum(widths[:pos])
-            boxes += [(at + p, name, i, o)
-                      for p, name, i, o in _box_walk(gen.mor, sig)[2]]
+            boxes += [(at + p, name, i, o) for p, name, i, o in next(lifted)]
         if isinstance(gen, Pack):
             widths[pos:pos + 2] = [widths[pos] + widths[pos + 1]]
         else:
-            widths[pos:pos + len(d)] = [objsize(x) for x in c]
+            widths[pos:pos + len(d)] = [x.size for x in c]
     return dom, cod, tuple(boxes), adapters
 
 
 def _packing_items(x: Wires, up: bool, at: int, out: list) -> None:
     """Append the records of ``pack_obj(x)``, or of ``unpack_obj(x)`` when
-    not ``up``, moved to ``at``, as ``left_normal_form`` items."""
+    not ``up``, moved to ``at``, as ``left_normal_form`` items; ``todo``
+    holds the labels and packs to come, a tensor's halves before its pack."""
+    todo = []
     for label in x:
-        if isinstance(label, Unit):
+        todo.append((at, label))
+        at += 1 if up else label.size
+    todo.reverse()
+    while todo:
+        at, label = todo.pop()
+        if isinstance(label, tuple):
+            out.append(label)
+        elif isinstance(label, Unit):
             out.append((at, (UnitIntro(), (), (label,)), 0, 1) if up else
                        (at, (UnitElim(), (label,), ()), 1, 0))
         elif isinstance(label, Tensor):
-            halves = (label.left, label.right)
-            if not up:
-                out.append((at, (Unpack(*halves), (label,), halves), 1, 2))
-            _packing_items(halves, up, at, out)
+            halves = l, r = label.left, label.right
             if up:
-                out.append((at, (Pack(*halves), halves, (label,)), 2, 1))
-        at += 1 if up else objsize(label)
+                todo += ((at, (at, (Pack(l, r), halves, (label,)), 2, 1)),
+                         (at + 1, r), (at, l))
+            else:
+                out.append((at, (Unpack(l, r), (label,), halves), 1, 2))
+                todo += ((at + l.size, r), (at, l))
 
 
 def _read_back(dom: Wires, cod: Wires, boxes, sig: Signature) -> list:

@@ -31,8 +31,8 @@ import re
 
 from .terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature,
-    Tensor, TensorM, TermError, UnitL, UnitLInv, UnitR, UnitRInv,
-    make_signature, show_obj,
+    Tensor, TensorM, TermError, UnitL, UnitLInv, UnitR, UnitRInv, _PARS,
+    _SEQS, make_signature, show_obj,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
@@ -264,64 +264,85 @@ def parse_wires(text: str) -> Wires:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_COMP = 0
-_PREC_TENS = 1
+class _Shown(dict):
+    """Object labels shown so far in one call, by node: labels are
+    interned, so each distinct label, and each distinct part of one, is
+    shown once however often the call prints it, and a tensor is shown
+    from its halves' texts."""
+
+    def __missing__(self, label):
+        if not isinstance(label, Tensor):
+            text = self[label] = show_obj(label)
+            return text
+        stack = [label]
+        while stack:
+            a = stack[-1]
+            if isinstance(a, Tensor):
+                todo = [h for h in (a.right, a.left) if h not in self]
+                if todo:
+                    stack += todo
+                    continue
+                self[a] = f"({self[a.left]} * {self[a.right]})"
+            else:
+                self[a] = show_obj(a)
+            stack.pop()
+        return self[label]
+
+    def wires(self, w) -> tuple[str, ...]:
+        return tuple(map(self.__getitem__, w))
+
+
+# The text of each atom: its keyword, then its fields in brackets if any.
+_KEYWORDS = {cls: word for word, (cls, _) in (_C_ATOMS | _D_ATOMS).items()}
+_KEYWORDS |= {UnitIntro: "unit+", UnitElim: "unit-"}
 
 
 def show_cmor(f: MorC) -> str:
-    return _show_c(f, _PREC_COMP)
-
-
-def _show_c(f: MorC, ctx: int) -> str:
-    if isinstance(f, Comp):
-        s = f"{_show_c(f.first, _PREC_COMP)} ; {_show_c(f.second, _PREC_TENS)}"
-        return f"({s})" if ctx > _PREC_COMP else s
-    if isinstance(f, TensorM):
-        s = f"{_show_c(f.left, _PREC_TENS)} (*) {_show_c(f.right, _PREC_TENS + 1)}"
-        return f"({s})" if ctx > _PREC_TENS else s
-    if isinstance(f, Id):
-        return f"id[{show_obj(f.obj)}]"
-    if isinstance(f, Gen):
-        return f.name
-    if isinstance(f, Assoc):
-        return f"alpha[{show_obj(f.a)},{show_obj(f.b)},{show_obj(f.c)}]"
-    if isinstance(f, AssocInv):
-        return f"alpha'[{show_obj(f.a)},{show_obj(f.b)},{show_obj(f.c)}]"
-    if isinstance(f, UnitL):
-        return f"lambda[{show_obj(f.obj)}]"
-    if isinstance(f, UnitLInv):
-        return f"lambda'[{show_obj(f.obj)}]"
-    if isinstance(f, UnitR):
-        return f"rho[{show_obj(f.obj)}]"
-    if isinstance(f, UnitRInv):
-        return f"rho'[{show_obj(f.obj)}]"
-    raise TypeError(f)
+    return show_dmor(f)
 
 
 def show_dmor(t: MorD) -> str:
-    return _show_d(t, _PREC_COMP)
-
-
-def _show_d(t: MorD, ctx: int) -> str:
-    if isinstance(t, CompD):
-        s = f"{_show_d(t.first, _PREC_COMP)} ; {_show_d(t.second, _PREC_TENS)}"
-        return f"({s})" if ctx > _PREC_COMP else s
-    if isinstance(t, TensorD):
-        s = f"{_show_d(t.left, _PREC_TENS)} (*) {_show_d(t.right, _PREC_TENS + 1)}"
-        return f"({s})" if ctx > _PREC_TENS else s
-    if isinstance(t, IdD):
-        return f"idD[{'|'.join(show_obj(w) for w in t.wires)}]"
-    if isinstance(t, Lift):
-        return f"lift({show_cmor(t.mor)})"
-    if isinstance(t, Pack):
-        return f"pack[{show_obj(t.left)},{show_obj(t.right)}]"
-    if isinstance(t, Unpack):
-        return f"unpack[{show_obj(t.left)},{show_obj(t.right)}]"
-    if isinstance(t, UnitIntro):
-        return "unit+"
-    if isinstance(t, UnitElim):
-        return "unit-"
-    raise TypeError(t)
+    """The text of a term of either language.  Parts are pushed on an
+    explicit stack, last first, and a child is put in parentheses where
+    it is pushed: the second half of a composition when it is one, the
+    left half of a tensor when it is a composition, and the right half
+    of a tensor when it is either, since both operators associate to the
+    left.  ``lift(`` prints its morphism as a whole term."""
+    obj = _Shown().__getitem__
+    parts: list[str] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is str:
+            parts.append(t)
+        elif cls is Id:
+            parts.append(f"id[{obj(t.obj)}]")
+        elif cls is Comp or cls is CompD:
+            second = t.second
+            stack += ((")", second, " ; (") if type(second) in _SEQS
+                      else (second, " ; "))
+            stack.append(t.first)
+        elif cls is TensorM or cls is TensorD:
+            right, left = t.right, t.left
+            stack += ((")", right, " (*) (")
+                      if type(right) in _SEQS or type(right) in _PARS
+                      else (right, " (*) "))
+            stack += (")", left, "(") if type(left) in _SEQS else (left,)
+        elif cls is Gen:
+            parts.append(t.name)
+        elif cls is IdD:
+            parts.append(f"idD[{'|'.join(map(obj, t.wires))}]")
+        elif cls is Lift:
+            parts.append("lift(")
+            stack += (")", t.mor)
+        elif cls in _KEYWORDS:
+            args = ",".join([obj(getattr(t, n)) for n in t.__slots__])
+            parts.append(f"{_KEYWORDS[cls]}[{args}]" if args else
+                         _KEYWORDS[cls])
+        else:
+            raise TypeError(t)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping
 
@@ -49,6 +50,10 @@ class UnknownName(TermError):
 
 
 class ArityMismatch(TermError):
+    pass
+
+
+class NotInvertible(TermError):
     pass
 
 
@@ -252,6 +257,63 @@ class Gen:
     name: str
 
 
+class _Term:
+    """Base, with no slot, of the term nodes with subterms: ``Comp``,
+    ``TensorM``, ``strict.CompD``, ``strict.TensorD`` and ``strict.Lift``.
+    ``==`` and ``hash`` mean what the dataclass ones meant, but go by
+    ``_shape``, so any depth works."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _shape(self) == _shape(other)
+
+    def __hash__(self):
+        return hash(tuple(_shape(self)))
+
+
+def _shape(t) -> list:
+    """``_postorder(t)`` with each composition or tensor node replaced by
+    its type and each lift by its type and morphism.  Each node's type
+    fixes its number of children, so equal shapes mean equal terms."""
+    pairs = _SEQS | _PARS
+    return [type(u) if type(u) in pairs else
+            (type(u), u.mor) if isinstance(u, _Term) else u
+            for u in _postorder(t)]
+
+
+def _postorder(t) -> list:
+    """The nodes of ``t``, a term of either language, children before
+    parents and left before right, as a recursive walk finishes them; a
+    lift is a leaf.  Built on an explicit stack, so any depth works."""
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while True:  # down the right spine; left children wait on the stack
+            out.append(t)
+            cls = type(t)
+            if cls in _SEQS:
+                stack.append(t.first)
+                t = t.second
+            elif cls in _PARS:
+                stack.append(t.left)
+                t = t.right
+            else:
+                break
+    out.reverse()
+    return out
+
+
+def _placed(items: list, diff: list) -> tuple:
+    """``(offset, *item)`` for each of ``items``, its offset the running
+    sum of ``diff`` up to its index.  A walk moves the items of index
+    ``lo`` up to ``hi`` by ``by`` with ``diff[lo] += by; diff[hi] -= by``,
+    so nested tensors cost one pass in all."""
+    return tuple(zip(accumulate(diff), *zip(*items))) if items else ()
+
+
 class _Composite:
     """The slot of ``Comp``, ``TensorM`` and ``strict.CompD`` besides their
     fields: ``facts``, ``(sig, found, handed)`` for the last signature
@@ -285,16 +347,22 @@ def _stored_walk(walk, t, sig: Signature):
     return found
 
 
-@dataclass(frozen=True, slots=True)
-class Comp(_Composite):
+@dataclass(frozen=True, slots=True, eq=False)
+class Comp(_Composite, _Term):
     first: "MorC"
     second: "MorC"
 
 
-@dataclass(frozen=True, slots=True)
-class TensorM(_Composite):
+@dataclass(frozen=True, slots=True, eq=False)
+class TensorM(_Composite, _Term):
     left: "MorC"
     right: "MorC"
+
+
+# The compositions, with fields ``first`` and ``second``, and the tensors,
+# with ``left`` and ``right``, of both languages (``strict`` adds its own):
+# the nodes ``_postorder`` walks into.  A set is faster than ``isinstance``.
+_SEQS, _PARS = {Comp}, {TensorM}
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,13 +413,7 @@ def chain_c(*fs: MorC) -> MorC:
 
 def is_structural(f: MorC) -> bool:
     """True iff ``f`` contains no generator node."""
-    if isinstance(f, Gen):
-        return False
-    if isinstance(f, Comp):
-        return is_structural(f.first) and is_structural(f.second)
-    if isinstance(f, TensorM):
-        return is_structural(f.left) and is_structural(f.right)
-    return True
+    return Gen not in map(type, _postorder(f))
 
 
 # ---------------------------------------------------------------------------
@@ -437,61 +499,63 @@ def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
     flattened signature.  The boxes are a tuple; nothing is stored.
     """
     gens = sig.generators
+    if type(f) is Gen and f.name in gens:  # a lone generator, as most lifts
+        d, c = gens[f.name]
+        return d, c, ((0, f.name, d.size, c.size),)
     boxes: list = []
-
-    def go(t: MorC, offset: int) -> tuple[ObjC, ObjC]:
-        if isinstance(t, Comp):
-            d1, c1 = go(t.first, offset)
-            d2, c2 = go(t.second, offset)
+    diff = [0]  # one more entry than boxes; see ``_placed``
+    ends: list = []  # (dom, cod, first box) of each finished subterm
+    for t in _postorder(f):
+        cls = type(t)
+        if cls is Comp:
+            d2, c2, _ = ends.pop()
+            d1, c1, n = ends[-1]
             if c1 != d2:
                 raise TypeMismatch(
                     path_to(f, t),
                     f"{show_obj(c1)} composed against {show_obj(d2)}")
-            return d1, c2
-        if isinstance(t, TensorM):
-            d1, c1 = go(t.left, offset)
-            n = len(boxes)
-            d2, c2 = go(t.right, offset)
-            if len(boxes) > n:
+            ends[-1] = d1, c2, n
+            continue
+        if cls is TensorM:
+            d2, c2, n2 = ends.pop()
+            d1, c1, n = ends[-1]
+            if c1.size and len(boxes) > n2:
                 # the right half acts after the left one, so past its cod
-                width = objsize(c1)
-                boxes[n:] = [(p + width, name, i, o)
-                             for p, name, i, o in boxes[n:]]
-            return Tensor(d1, d2), Tensor(c1, c2)
-        if isinstance(t, Gen):
+                diff[n2] += c1.size
+                diff[-1] -= c1.size
+            ends[-1] = Tensor(d1, d2), Tensor(c1, c2), n
+            continue
+        n = len(boxes)
+        if cls is Gen:
             if t.name not in gens:
                 raise UnknownName(t.name)
             d, c = gens[t.name]
-            boxes.append((offset, t.name, objsize(d), objsize(c)))
-            return d, c
-        if isinstance(t, Id):
+            boxes.append((t.name, d.size, c.size))
+            diff.append(0)
+        elif cls is Id:
             validate_obj(t.obj, sig)
-            return t.obj, t.obj
-        if isinstance(t, Assoc):
+            d = c = t.obj
+        elif cls is Assoc or cls is AssocInv:
             for x in (t.a, t.b, t.c):
                 validate_obj(x, sig)
-            return Tensor(t.a, Tensor(t.b, t.c)), Tensor(Tensor(t.a, t.b), t.c)
-        if isinstance(t, AssocInv):
-            for x in (t.a, t.b, t.c):
-                validate_obj(x, sig)
-            return Tensor(Tensor(t.a, t.b), t.c), Tensor(t.a, Tensor(t.b, t.c))
-        if isinstance(t, UnitL):
+            d, c = Tensor(t.a, Tensor(t.b, t.c)), Tensor(Tensor(t.a, t.b), t.c)
+            if cls is AssocInv:
+                d, c = c, d
+        elif cls is UnitL or cls is UnitLInv:
             validate_obj(t.obj, sig)
-            return Tensor(UNIT, t.obj), t.obj
-        if isinstance(t, UnitLInv):
+            d, c = Tensor(UNIT, t.obj), t.obj
+            if cls is UnitLInv:
+                d, c = c, d
+        elif cls is UnitR or cls is UnitRInv:
             validate_obj(t.obj, sig)
-            return t.obj, Tensor(UNIT, t.obj)
-        if isinstance(t, UnitR):
-            validate_obj(t.obj, sig)
-            return Tensor(t.obj, UNIT), t.obj
-        if isinstance(t, UnitRInv):
-            validate_obj(t.obj, sig)
-            return t.obj, Tensor(t.obj, UNIT)
-        raise TypeError(t)
-
-    dom, cod = go(f, 0)
-    return dom, cod, tuple(boxes)
-
+            d, c = Tensor(t.obj, UNIT), t.obj
+            if cls is UnitRInv:
+                d, c = c, d
+        else:
+            raise TypeError(t)
+        ends.append((d, c, n))
+    dom, cod, _ = ends[0]
+    return dom, cod, _placed(boxes, diff)
 
 
 def path_to(root, node) -> str:
@@ -515,26 +579,38 @@ def path_to(root, node) -> str:
                 stack.append((child, f"{path}.{step}"))
 
 
-def invert_structural(f: MorC) -> MorC:
-    """Formal inverse of a structural term; generators are not invertible."""
-    if isinstance(f, Id):
-        return f
-    if isinstance(f, Gen):
-        raise TermError(f"generator {f.name!r} has no inverse")
-    if isinstance(f, Comp):
-        return Comp(invert_structural(f.second), invert_structural(f.first))
-    if isinstance(f, TensorM):
-        return TensorM(invert_structural(f.left), invert_structural(f.right))
-    if isinstance(f, Assoc):
-        return AssocInv(f.a, f.b, f.c)
-    if isinstance(f, AssocInv):
-        return Assoc(f.a, f.b, f.c)
-    if isinstance(f, UnitL):
-        return UnitLInv(f.obj)
-    if isinstance(f, UnitLInv):
-        return UnitL(f.obj)
-    if isinstance(f, UnitR):
-        return UnitRInv(f.obj)
-    if isinstance(f, UnitRInv):
-        return UnitR(f.obj)
-    raise TypeError(f)
+# Each structural atom's type and the type of its inverse, which has the
+# same fields; an identity is its own inverse.  ``strict`` adds its own.
+_INVERSE = {Id: Id, Assoc: AssocInv, AssocInv: Assoc, UnitL: UnitLInv,
+            UnitLInv: UnitL, UnitR: UnitRInv, UnitRInv: UnitR}
+
+
+def invert_structural(f):
+    """Formal inverse of a structural term of either language: the halves
+    of a composition swap, each atom becomes its inverse, and a lift is
+    the lift of its morphism's inverse.  Generators are not invertible."""
+    out: list = []
+    todo = _postorder(f)
+    todo.reverse()
+    while todo:
+        t = todo.pop()
+        if type(t) in _SEQS:
+            x = out.pop()
+            out[-1] = type(t)(x, out[-1])
+        elif type(t) in _PARS:
+            x = out.pop()
+            out[-1] = type(t)(out[-1], x)
+        elif type(t) in _INVERSE:
+            fields = [getattr(t, n) for n in t.__slots__]
+            out.append(_INVERSE[type(t)](*fields))
+        elif isinstance(t, Gen):
+            raise NotInvertible(f"generator {t.name!r} has no inverse")
+        elif isinstance(t, _Term):
+            # a lift: invert its morphism's nodes, then lift the result
+            todo.append(type(t))
+            todo += reversed(_postorder(t.mor))
+        elif isinstance(t, type):
+            out[-1] = t(out[-1])
+        else:
+            raise TypeError(t)
+    return out[0]

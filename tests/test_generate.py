@@ -5,7 +5,7 @@ from strictcat.terms import (
     UnitRInv, Unit, Base, Tensor, typecheck_c,
 )
 from strictcat.syntax import show_cmor
-from strictcat.strict import typecheck_d
+from strictcat.strict import CompD, Lift, TensorD, typecheck_d
 from strictcat.generate import (
     enumerate_catw_objects, random_adapter_walk, random_dmor, random_mor,
     random_obj, random_structural_walk,
@@ -128,3 +128,27 @@ def _units(a):
     elif isinstance(a, Tensor):
         yield from _units(a.left)
         yield from _units(a.right)
+
+
+def _composites(t):
+    """The composition and tensor nodes of ``t``, inside lifts too."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (Comp, CompD)):
+            yield t
+            stack += (t.first, t.second)
+        elif isinstance(t, (TensorM, TensorD)):
+            yield t
+            stack += (t.left, t.right)
+        elif isinstance(t, Lift):
+            stack.append(t.mor)
+
+
+def test_generators_store_no_facts_on_subterms(demo_sig):
+    # a generated part is a subterm of the result, so its ends come from
+    # the walks that store nothing
+    for seed in range(100):
+        for t in (random_mor(demo_sig, 5, seed),
+                  random_dmor(demo_sig, 4, seed)):
+            assert not any(hasattr(u, "facts") for u in _composites(t))

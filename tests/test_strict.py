@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from strictcat.terms import (
     UNIT, Comp, Gen, Id, Tensor, TypeMismatch, UnknownName,
 )
-from strictcat import demos
+from strictcat import demos, strict
 from strictcat.strict import (
     CompD, IdD, Lift, NotInvertible, Pack, RewriteBudgetExceeded, TensorD,
     UnitElim, UnitIntro, Unpack, canonical_d, chain_d,
@@ -493,3 +493,23 @@ def test_records_of_lift_expansions_keep_the_root_remembered(demo_sig):
     normalize_adapters(t, demo_sig)
     assert _diagram(t, demo_sig) is diagram
     assert not hasattr(lifted.mor, "facts")
+
+
+def test_typecheck_d_walks_each_lifted_composite_once(demo_sig, monkeypatch):
+    # the records walk keeps the boxes of each lift it typechecks, so the
+    # diagram does not walk the lift again
+    calls = []
+
+    def counting(f, sig):
+        calls.append(f)
+        return box_walk(f, sig)
+
+    box_walk = strict._box_walk
+    monkeypatch.setattr(strict, "_box_walk", counting)
+    lifted = [Lift(Comp(Gen("f"), Gen("g"))) for _ in range(10)]
+    t = lifted[-1]
+    for g in reversed(lifted[:-1]):
+        t = TensorD(g, t)
+    t = CompD(t, IdD((Z,) * 10))
+    assert typecheck_d(t, demo_sig) == ((X,) * 10, (Z,) * 10)
+    assert calls == [g.mor for g in lifted]

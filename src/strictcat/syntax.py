@@ -292,7 +292,7 @@ class _Shown(dict):
         return tuple(map(self.__getitem__, w))
 
 
-# The text of each atom: its keyword, then its fields in brackets if any.
+# The keyword of each atom, printed before its fields in brackets.
 _KEYWORDS = {cls: word for word, (cls, _) in (_C_ATOMS | _D_ATOMS).items()}
 _KEYWORDS |= {UnitIntro: "unit+", UnitElim: "unit-"}
 
@@ -337,9 +337,15 @@ def show_dmor(t: MorD) -> str:
             parts.append("lift(")
             stack += (")", t.mor)
         elif cls in _KEYWORDS:
-            args = ",".join([obj(getattr(t, n)) for n in t.__slots__])
-            parts.append(f"{_KEYWORDS[cls]}[{args}]" if args else
-                         _KEYWORDS[cls])
+            word = _KEYWORDS[cls]
+            if cls is Assoc or cls is AssocInv:
+                parts.append(f"{word}[{obj(t.a)},{obj(t.b)},{obj(t.c)}]")
+            elif cls is Pack or cls is Unpack:
+                parts.append(f"{word}[{obj(t.left)},{obj(t.right)}]")
+            elif cls is UnitIntro or cls is UnitElim:
+                parts.append(word)
+            else:  # a unitor
+                parts.append(f"{word}[{obj(t.obj)}]")
         else:
             raise TypeError(t)
     return "".join(parts)

@@ -51,7 +51,7 @@ class Atom:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair:
     first: "Element"
     second: "Element"

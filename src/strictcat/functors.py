@@ -13,15 +13,17 @@ Each layer stores what it knows about the term it builds on the term
 the boxes of its input, adapter count) for ``strict.normalize_adapters``,
 which stores its output's slices for ``nonstrictify`` and
 ``render.layout``.  So strictifying, normalising and reading back any
-number of terms walks no expansion and no normal form.
+number of terms walks no expansion and no normal form.  ``nonstrictify``
+stores its output's typed walk, so a term that contains the read-back
+(a canonical isomorphism after a structural walk) walks only the rest.
 """
 
 from __future__ import annotations
 
 from .terms import (
     UNIT, Assoc, AssocInv, Comp, Id, MorC, ObjC, Signature, Tensor,
-    TensorM, UnitL, UnitLInv, UnitR, UnitRInv, _boxes, _store, chain_c,
-    typecheck_c,
+    TensorM, UnitL, UnitLInv, UnitR, UnitRInv, UnknownName, _box_walk,
+    _boxes, _store, chain_c, typecheck_c, validate_obj,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
@@ -119,12 +121,23 @@ def nonstrictify(t: MorD, sig: Signature) -> MorC:
 
     Works slice by slice over the sequential normal form; each slice is
     its generator, with separate cases for no, one and more wires beside
-    it, under one identity wire per wire on its left.
+    it, under one identity wire per wire on its left.  The output stores
+    its typed walk: its ends, and each lift's boxes past the wires left.
     """
     nf = seq_normal_form(t, sig)
     if not nf.slices:
         return Id(obj_nonstrictify(nf.dom))
-    return chain_c(*(_g_slice(s.left, s.gen, s.right) for s in nf.slices))
+    out = chain_c(*(_g_slice(s.left, s.gen, s.right) for s in nf.slices))
+    boxes = tuple((sum(x.size for x in s.left) + p, *box)
+                  for s in nf.slices if isinstance(s.gen, Lift)
+                  for p, *box in _box_walk(s.gen.mor, sig)[2])
+    ends = obj_nonstrictify(nf.dom), obj_nonstrictify(nf.cod)
+    try:  # a strict term's wires may name undeclared bases; a walk may not
+        validate_obj(ends[0], sig)
+    except UnknownName:
+        return out
+    _store(out, (sig, (*ends, boxes), None))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class IdD:
     wires: Wires
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Lift(_Term):
     mor: MorC
 
@@ -86,7 +86,7 @@ class UnitElim:
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CompD(_Composite, _Term):
     first: "MorD"
     second: "MorD"
@@ -95,7 +95,7 @@ class CompD(_Composite, _Term):
 # No ``facts`` slot: every strict builder returns a composition, so a
 # tensor root is a user's term or one slice, and tensors, which pad each
 # slice with identities, are most of a strict term's nodes.
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TensorD(_Term):
     left: "MorD"
     right: "MorD"

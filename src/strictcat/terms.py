@@ -17,9 +17,10 @@ interned: each structure has one live node, so ``==`` and ``hash`` on
 objects go by identity and mean what structural equality meant, at any
 depth.  A node stores its leaf count (``objsize``), and a composite term
 stores what a typed walk or the layer that built it found (``facts``), so
-the next layer does not walk it.  All values are frozen and safe to share
-between threads, and so are the intern tables and the facts, which a
-race can only make miss.
+the next layer does not walk it, nor a walk of a term that contains it.
+Terms of any depth compare, hash, print, copy and pickle.  All values are
+frozen and safe to share between threads, and so are the intern tables
+and the facts, which a race can only make miss.
 """
 
 from __future__ import annotations
@@ -260,8 +261,8 @@ class Gen:
 class _Term:
     """Base, with no slot, of the term nodes with subterms: ``Comp``,
     ``TensorM``, ``strict.CompD``, ``strict.TensorD`` and ``strict.Lift``.
-    ``==`` and ``hash`` mean what the dataclass ones meant, but go by
-    ``_shape``, so any depth works."""
+    ``==``, ``hash`` and ``repr`` mean what the dataclass ones meant, and
+    a copy or pickle is sent as the ``_shape``, so any depth works."""
     __slots__ = ()
 
     def __eq__(self, other):
@@ -271,6 +272,23 @@ class _Term:
 
     def __hash__(self):
         return hash(tuple(_shape(self)))
+
+    def __reduce__(self):
+        return _from_shape, (_shape(self),)
+
+    def __repr__(self):
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if not isinstance(t, _Term):
+                parts.append(t if type(t) is str else repr(t))
+                continue
+            items = [type(t).__qualname__ + "("]
+            for i, name in enumerate(t.__slots__):
+                items += (", " * (i > 0) + name + "=", getattr(t, name))
+            stack += reversed(items + [")"])
+        return "".join(parts)
 
 
 def _shape(t) -> list:
@@ -283,17 +301,35 @@ def _shape(t) -> list:
             for u in _postorder(t)]
 
 
-def _postorder(t) -> list:
+def _from_shape(shape) -> "_Term":
+    """The term whose ``_shape`` is ``shape``, built by its constructors."""
+    out: list = []
+    for x in shape:
+        if isinstance(x, type):  # a composition or tensor of the last two
+            x = x(*out[-2:])
+            del out[-2:]
+        out.append(x[0](x[1]) if type(x) is tuple else x)
+    return out[0]
+
+
+def _postorder(t, sig: Signature | None = None) -> list:
     """The nodes of ``t``, a term of either language, children before
     parents and left before right, as a recursive walk finishes them; a
-    lift is a leaf.  Built on an explicit stack, so any depth works."""
+    lift is a leaf.  Built on an explicit stack, so any depth works.  With
+    ``sig``, a ``Comp`` or ``TensorM`` that stores its typed walk for
+    ``sig`` is a leaf, listed as that ``(dom, cod, boxes)``."""
     out = []
     stack = [t]
     while stack:
         t = stack.pop()
         while True:  # down the right spine; left children wait on the stack
-            out.append(t)
             cls = type(t)
+            if sig is not None and (cls is Comp or cls is TensorM):
+                facts = t.facts
+                if facts is not None and facts[0] is sig:
+                    out.append(facts[1])
+                    break
+            out.append(t)
             if cls in _SEQS:
                 stack.append(t.first)
                 t = t.second
@@ -320,8 +356,10 @@ class _Composite:
     ``sig`` the node was walked or built against as a root: ``found`` is
     what the walk of its language found (``_boxes``, ``strict._diagram``),
     ``handed`` the ``SeqNF`` a builder handed on.  Not a dataclass field,
-    so ``==``, ``hash``, ``repr``, copies and pickles leave it out; unset,
-    it reads as a miss.  Subterms met inside a walk store nothing."""
+    so ``==``, ``hash``, ``repr``, copies and pickles leave it out; unset
+    or ``None``, it reads as a miss (``Comp`` and ``TensorM`` are built
+    with ``None``, which is cheaper to read).  Subterms met inside a walk
+    store nothing, but a walk takes a subterm with stored facts whole."""
     __slots__ = ("facts",)
 
 
@@ -347,16 +385,26 @@ def _stored_walk(walk, t, sig: Signature):
     return found
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Comp(_Composite, _Term):
     first: "MorC"
     second: "MorC"
 
+    def __init__(self, first: "MorC", second: "MorC"):
+        _set(self, "first", first)
+        _set(self, "second", second)
+        _set(self, "facts", None)
 
-@dataclass(frozen=True, slots=True, eq=False)
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class TensorM(_Composite, _Term):
     left: "MorC"
     right: "MorC"
+
+    def __init__(self, left: "MorC", right: "MorC"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "facts", None)
 
 
 # The compositions, with fields ``first`` and ``second``, and the tensors,
@@ -496,7 +544,8 @@ def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
     base wires from the left and puts ``n_out`` in their place.
     Structural nodes flatten to identities and give no box, so this is
     ``f`` as a diagram of the free strict monoidal category on the
-    flattened signature.  The boxes are a tuple; nothing is stored.
+    flattened signature.  The boxes are a tuple; nothing is stored.  A
+    subterm that stores its walk for ``sig`` is taken whole.
     """
     gens = sig.generators
     if type(f) is Gen and f.name in gens:  # a lone generator, as most lifts
@@ -505,7 +554,7 @@ def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
     boxes: list = []
     diff = [0]  # one more entry than boxes; see ``_placed``
     ends: list = []  # (dom, cod, first box) of each finished subterm
-    for t in _postorder(f):
+    for t in _postorder(f, sig):
         cls = type(t)
         if cls is Comp:
             d2, c2, _ = ends.pop()
@@ -551,6 +600,12 @@ def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
             d, c = Tensor(t.obj, UNIT), t.obj
             if cls is UnitRInv:
                 d, c = c, d
+        elif cls is tuple:  # a subterm's stored walk; see ``_postorder``
+            d, c, placed = t
+            for p, *box in placed:  # ``diff`` moves this box alone by ``p``
+                diff[-1] += p
+                diff.append(-p)
+                boxes.append(box)
         else:
             raise TypeError(t)
         ends.append((d, c, n))

@@ -5,6 +5,8 @@ memory but never raises ``RecursionError``.  Each case runs every layer
 that applies to its term, and compares it with a copy built apart.
 """
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -106,3 +108,16 @@ def test_deep_parity_reads_back():
     sig = demos.parity_signature()
     back = nonstrictify(demos.parity_term(256), sig)
     assert parse_cmor(show_cmor(back)) == back
+
+
+@pytest.mark.parametrize("name", ["chain_c", "chain_d"])
+def test_deep_chain_prints_copies_and_pickles(name):
+    # ``repr`` runs on a stack; copies and pickles go by the flat post-order
+    t = CASES[name][0]()
+    text = repr(t)
+    assert text.count("Comp") == DEPTH - 1
+    assert text.startswith(type(t).__name__ + "(first=" + type(t).__name__)
+    assert text.endswith("))")
+    for other in (copy.copy(t), copy.deepcopy(t),
+                  pickle.loads(pickle.dumps(t))):
+        assert other is not t and other == t

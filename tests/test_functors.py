@@ -6,12 +6,15 @@ import pytest
 
 from strictcat import demos, strict, terms
 from strictcat.terms import (
-    UNIT, Assoc, AssocInv, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitLInv,
-    UnitR, UnitRInv, _boxes, typecheck_c,
+    UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, Tensor, TensorM,
+    TypeMismatch, UnitL, UnitLInv, UnitR, UnitRInv, UnknownName, _box_walk,
+    _boxes, _postorder, chain_c, invert_structural, make_signature,
+    typecheck_c,
 )
 from strictcat.strict import (
     CompD, IdD, Lift, Pack, TensorD, UnitElim, UnitIntro, Unpack, _diagram,
-    _diagram_walk, _snf_walk, chain_d, invert_d, normalize_adapters,
+    _diagram_walk, _snf_walk, canonical_d, chain_d, invert_d,
+    normalize_adapters,
     normalize_adapters_with_stats, seq_normal_form, typecheck_d,
 )
 from strictcat.functors import (
@@ -20,9 +23,14 @@ from strictcat.functors import (
 )
 from strictcat.finmodel import eval_mor, eval_mor_d, extensional_equal
 from strictcat.render import layout
-from strictcat.generate import random_dmor, random_mor, random_obj
+from strictcat.coherence import EQUAL, canonical_nat_iso, equal_structural
+from strictcat.generate import (
+    random_bracketing, random_dmor, random_mor, random_obj,
+    random_structural_walk,
+)
+from strictcat.syntax import parse_cmor, show_cmor
 
-from conftest import X, Y, Z
+from conftest import W, X, Y, Z
 
 
 def test_strictify_shallow_is_lift(demo_sig):
@@ -247,9 +255,10 @@ def test_monoidal_functor_laws_for_strictification(demo_sig, rng):
 def test_strictify_expand_typechecks_once(monkeypatch):
     # the endpoints of every subterm come out of the expansion itself, so
     # only the root is typechecked, by one walk that also gives its boxes,
-    # however deep the tensors nest
+    # however deep the tensors nest; ``f`` is a parsed copy of a read-back,
+    # which holds no facts (the read-back itself holds its typed walk)
     sig = demos.parity_signature()
-    f = nonstrictify(demos.parity_term(12), sig)
+    f = parse_cmor(show_cmor(nonstrictify(demos.parity_term(12), sig)))
     calls = []
 
     def counting(walk):
@@ -379,20 +388,26 @@ def test_hand_offs_shared_between_threads(demo_sig):
     # each thread strictifies, normalises and reads back its inputs, over
     # and over, and each input is also another thread's, so threads store
     # facts on the same roots at once; every answer must be the one a
-    # single thread gets
+    # single thread gets.  Each input is also walked under an equal
+    # signature that is another object, which replaces its facts while
+    # other threads take it whole inside a composition.
     psig = demos.parity_signature()
     inputs = [(nonstrictify(demos.parity_term(n), psig), psig)
               for n in range(3, 11)]
     inputs += [(random_mor(demo_sig, 3, seed), demo_sig) for seed in range(16)]
     blocks = [inputs[k::4] + inputs[(k + 1) % 4::4] for k in range(4)]
+    twins = {id(sig): make_signature(sig.base_objects, sig.generators)
+             for sig in (psig, demo_sig)}
 
     def answers(block):
         out = []
         for f, sig in block:
             nf, stats = normalize_adapters_with_stats(strictify_expand(f, sig),
                                                       sig)
+            cod = typecheck_c(f, twins[id(sig)])[1]
             out.append((nf, stats.cancelled_pairs, stats.swaps, stats.trace,
-                        nonstrictify(nf, sig), layout(nf, sig)))
+                        nonstrictify(nf, sig), layout(nf, sig),
+                        _box_walk(Comp(f, Id(cod)), sig)))
         return out
 
     expected = [answers(block) for block in blocks]
@@ -423,3 +438,142 @@ def test_hand_offs_shared_between_threads(demo_sig):
     assert errors == []
     for k, block in enumerate(results):
         assert block == [expected[k]] * 10
+
+
+def _bare(f):
+    """A copy of ``f`` that holds no facts: the parser builds every node."""
+    return parse_cmor(show_cmor(f))
+
+
+def _read_backs(demo_sig):
+    """``(strict term, signature)`` pairs to read back: random strict terms,
+    normal forms of parity circuits, canonical arrows and lifted
+    structural composites, beside other wires and composed."""
+    for seed in range(200):
+        yield random_dmor(demo_sig, 4, seed), demo_sig
+    psig = demos.parity_signature()
+    for n in range(3, 25):
+        yield normalize_adapters(demos.parity_term(n), psig), psig
+    for seed in range(40):
+        leaves = [random_obj(demo_sig, 2, seed + k)
+                  for k in range(1 + seed % 4)]
+        a = random_bracketing(leaves, seed)
+        b = random_bracketing(leaves, seed + 1000)
+        yield canonical_d((a,), (b,)), demo_sig
+        yield canonical_d((a, Y), (Tensor(b, Y),)), demo_sig
+        walk = random_structural_walk(a, 1 + seed % 5, seed)
+        lifted = Lift(walk)
+        yield TensorD(IdD((X, Y)), TensorD(lifted, IdD((Z,)))), demo_sig
+        back = Lift(invert_structural(walk))
+        yield chain_d(TensorD(lifted, Lift(Gen("f"))),
+                      TensorD(back, IdD((Y,)))), demo_sig
+
+
+def test_nonstrictify_stores_the_typed_walk_of_its_output(demo_sig):
+    # the stored ends and boxes are what a walk of a copy finds
+    stored = boxed = 0
+    for t, sig in _read_backs(demo_sig):
+        back = nonstrictify(t, sig)
+        if isinstance(back, (Comp, TensorM)):
+            assert back.facts[0] is sig
+            assert back.facts[1] == _box_walk(_bare(back), sig)
+            stored += 1
+            boxed += bool(back.facts[1][2])
+    assert stored > 300 and boxed > 60
+    # a strict term typechecks whatever its base names, but a typed walk
+    # of its read-back rejects undeclared ones, so none is stored there
+    q = Base("q")
+    back = nonstrictify(chain_d(Pack(X, q), Unpack(X, q)), demo_sig)
+    assert isinstance(back, Comp) and back.facts is None
+    with pytest.raises(UnknownName):
+        typecheck_c(TensorM(Id(X), back), demo_sig)
+
+
+def test_walks_take_a_read_back_whole(demo_sig):
+    # a term that contains a read-back walks to what a copy without facts
+    # walks to, type errors and their positions included
+    def outcome(f, sig):
+        try:
+            return _box_walk(f, sig)
+        except TypeMismatch as exc:
+            return str(exc), exc.position
+
+    mismatches = 0
+    for t, sig in _read_backs(demo_sig):
+        back = nonstrictify(t, sig)
+        dom, cod = typecheck_c(back, sig)
+
+        def contexts(b):
+            return (Comp(Id(dom), b), Comp(b, Id(cod)), TensorM(Id(dom), b),
+                    TensorM(b, b), Comp(b, b),
+                    Comp(TensorM(b, Id(cod)), TensorM(Id(cod), b)),
+                    TensorM(Id(cod), Comp(b, Id(dom))))
+
+        for f, bare in zip(contexts(back), contexts(_bare(back))):
+            expected = outcome(bare, sig)
+            assert outcome(f, sig) == expected
+            mismatches += isinstance(expected[1], str)
+    assert mismatches > 100
+
+
+def test_equality_and_the_oracle_do_not_walk_a_read_back(catw_sig, catw_model,
+                                                         monkeypatch):
+    # ``equal_structural`` lists no node of the read-back part of ``g``,
+    # and the table of a canonical isomorphism takes no typed walk
+    a = Tensor(Tensor(W, W), Tensor(W, UNIT))
+    f = random_structural_walk(a, 6, 3)
+    mid = typecheck_c(f, catw_sig)[1]
+    walk = random_structural_walk(a, 4, 5)
+    back = nonstrictify(canonical_d((typecheck_c(walk, catw_sig)[1],), (mid,)),
+                        catw_sig)
+    g = Comp(walk, back)
+    listed = []
+
+    def listing(*args):
+        out = postorder(*args)
+        listed.extend(map(id, out))
+        return out
+
+    postorder = terms._postorder
+    monkeypatch.setattr(terms, "_postorder", listing)
+    assert equal_structural(f, g, catw_sig).kind == EQUAL
+    monkeypatch.undo()
+    assert isinstance(back, Comp)
+    assert set(listed).isdisjoint(map(id, _postorder(back)))
+
+    calls = []
+
+    def counting(t, sig):
+        calls.append(t)
+        return box_walk(t, sig)
+
+    box_walk = terms._box_walk
+    shapes = [Tensor(Tensor(W, W), W), Tensor(W, Tensor(W, W)),
+              Tensor(Tensor(W, UNIT), W)]
+    for shape_a in shapes:
+        for shape_b in shapes:
+            if shape_a != shape_b and shape_a.size == shape_b.size:
+                iso = canonical_nat_iso(shape_a, shape_b, (W, Tensor(W, W), W),
+                                        catw_sig)
+                monkeypatch.setattr(terms, "_box_walk", counting)
+                eval_mor(iso, catw_model)
+                monkeypatch.undo()
+    assert calls == []
+
+
+def test_built_composites_set_their_facts(demo_sig):
+    # every composition and tensor of the C language is built with its
+    # ``facts`` slot set, so reading it never misses
+    psig = demos.parity_signature()
+    built = [parse_cmor(show_cmor(random_mor(demo_sig, 4, 1))),
+             chain_c(Id(X), Gen("f"), Id(Y)),
+             nonstrictify(demos.parity_term(8), psig),
+             invert_structural(random_structural_walk(Tensor(X, Y), 6, 2)),
+             random_mor(demo_sig, 4, 2)]
+    built += [nonstrictify(random_dmor(demo_sig, 4, seed), demo_sig)
+              for seed in range(20)]
+    composites = [u for f in built for u in _postorder(f)
+                  if isinstance(u, (Comp, TensorM))]
+    assert len(composites) > 100
+    for u in composites:
+        u.facts  # raises AttributeError if unset

@@ -151,4 +151,5 @@ def test_generators_store_no_facts_on_subterms(demo_sig):
     for seed in range(100):
         for t in (random_mor(demo_sig, 5, seed),
                   random_dmor(demo_sig, 4, seed)):
-            assert not any(hasattr(u, "facts") for u in _composites(t))
+            assert all(getattr(u, "facts", None) is None
+                       for u in _composites(t))

@@ -4,7 +4,7 @@ import pickle
 import sys
 import threading
 import weakref
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 from strictcat.terms import (
     UNIT, ArityMismatch, Assoc, Base, Comp, Gen, Id, Tensor, TensorM,
     TermError, TypeMismatch, Unit, UnitL, UnitLInv, UnitR, UnknownName,
-    flatten, _boxes, is_structural, make_signature, objsize, show_obj,
-    substitute, typecheck_c, validate_obj,
+    flatten, _boxes, _postorder, _Term, is_structural, make_signature, objsize,
+    show_obj, substitute, typecheck_c, validate_obj,
 )
 from strictcat.strict import (
-    IdD, Lift, TensorD, normalize_adapters, seq_normal_form, typecheck_d,
+    CompD, IdD, Lift, TensorD, normalize_adapters, seq_normal_form,
+    typecheck_d,
 )
 from strictcat.functors import strictify_expand
 from strictcat.finmodel import FinModel, eval_mor
@@ -231,7 +232,7 @@ def test_memo_returns_boxes_no_caller_can_change(demo_sig):
     assert _boxes(f, demo_sig) == (dom, cod, ((0, "f", 1, 1), (1, "g", 1, 1)))
     assert _boxes(f, demo_sig)[2] is boxes
     # a subterm met inside the walk stores nothing
-    assert not hasattr(f.first, "facts")
+    assert getattr(f.first, "facts", None) is None
 
 
 def test_facts_are_not_part_of_the_term(demo_sig):
@@ -268,9 +269,45 @@ def test_facts_are_not_part_of_the_term(demo_sig):
         for other in copies:
             assert other == t and hash(other) == hash(t)
             # the copy's first walk is a miss, and it answers as ``t`` did
-            assert not hasattr(other, "facts")
+            assert getattr(other, "facts", None) is None
             assert walk(other) == answer
             assert hasattr(other, "facts") is keeps
+
+
+def _field_repr(t) -> str:
+    """The text of a generated dataclass ``__repr__``, by recursion."""
+    if not is_dataclass(t) or isinstance(t, (Base, Tensor, Unit)):
+        return repr(t)
+    inner = ", ".join(f"{x.name}={_field_repr(getattr(t, x.name))}"
+                      for x in fields(t))
+    return f"{type(t).__qualname__}({inner})"
+
+
+def test_terms_print_as_their_dataclass_fields(demo_sig):
+    t = Lift(Comp(Gen("f"), TensorM(Id(Y), UnitL(X))))
+    assert repr(t) == ("Lift(mor=Comp(first=Gen(name='f'), second=TensorM("
+                       "left=Id(obj=Base(name='y')), "
+                       "right=UnitL(obj=Base(name='x')))))")
+    for seed in range(40):
+        for t in (random_mor(demo_sig, 4, seed),
+                  random_dmor(demo_sig, 3, seed),
+                  CompD(TensorD(IdD((X,)), Lift(Gen("f"))), IdD((X, Y)))):
+            assert repr(t) == _field_repr(t)
+
+
+def test_copies_and_pickles_rebuild_every_node(demo_sig):
+    # a term is sent as its flat post-order and rebuilt by its
+    # constructors, so no composite or lift node of a copy is shared
+    def composites(t):
+        return {id(u) for u in _postorder(t) if isinstance(u, _Term)}
+
+    for seed in range(40):
+        for t in (random_mor(demo_sig, 4, seed),
+                  random_dmor(demo_sig, 3, seed)):
+            for other in (copy.copy(t), copy.deepcopy(t),
+                          pickle.loads(pickle.dumps(t))):
+                assert other == t and repr(other) == repr(t)
+                assert composites(other).isdisjoint(composites(t))
 
 
 def test_typed_walks_shared_between_threads(demo_sig):

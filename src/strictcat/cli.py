@@ -170,36 +170,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report instead of plain text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sig=True):
-        if sig:
-            p.add_argument("--sig", help="signature file (obj/gen lines)")
+    def with_sig(p):
+        p.add_argument("--sig", help="signature file (obj/gen lines)")
 
     p = sub.add_parser("parse", help="parse and pretty-print a term")
-    common(p)
     p.add_argument("--dterm", action="store_true",
                    help="treat the input as a strict-category term")
     p.add_argument("term")
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("typecheck", help="compute dom and cod of a term")
-    common(p)
+    with_sig(p)
     p.add_argument("--dterm", action="store_true")
     p.add_argument("term")
     p.set_defaults(fn=cmd_typecheck)
 
     p = sub.add_parser("strictify", help="map a base term into the strict category")
-    common(p)
+    with_sig(p)
     p.add_argument("--mode", choices=("shallow", "expand"), default="shallow")
     p.add_argument("term")
     p.set_defaults(fn=cmd_strictify)
 
     p = sub.add_parser("nonstrictify", help="map a strict term back")
-    common(p)
+    with_sig(p)
     p.add_argument("term")
     p.set_defaults(fn=cmd_nonstrictify)
 
     p = sub.add_parser("normalize", help="normal form, read from the diagram")
-    common(p)
+    with_sig(p)
     p.add_argument("--max-steps", type=int, default=None,
                    help="bound the exchanges and cancellations made on "
                         "lift-bearing terms")
@@ -207,20 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("canonical", help="canonical arrow between two objects")
-    common(p)
     p.add_argument("obj_a")
     p.add_argument("obj_b")
     p.set_defaults(fn=cmd_canonical)
 
     p = sub.add_parser("equal", help="decide equality of two base terms")
-    common(p)
+    with_sig(p)
     p.add_argument("--model", help="model file (name=size lines, seed=n)")
     p.add_argument("term_f")
     p.add_argument("term_g")
     p.set_defaults(fn=cmd_equal)
 
     p = sub.add_parser("render", help="draw a strict term as dot or svg")
-    common(p)
+    with_sig(p)
     p.add_argument("--format", choices=("dot", "svg"), default="dot")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("term")

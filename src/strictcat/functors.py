@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from .terms import (
     UNIT, Assoc, AssocInv, Comp, Id, MorC, ObjC, Signature, Tensor,
-    TensorM, UnitL, UnitLInv, UnitR, UnitRInv, UnknownName, _box_walk,
-    _boxes, _store, chain_c, typecheck_c, validate_obj,
+    TensorM, UnitL, UnitLInv, UnitR, UnitRInv, _box_walk, _boxes, _store,
+    chain_c, typecheck_c,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
@@ -125,17 +125,12 @@ def nonstrictify(t: MorD, sig: Signature) -> MorC:
     its typed walk: its ends, and each lift's boxes past the wires left.
     """
     nf = seq_normal_form(t, sig)
-    if not nf.slices:
-        return Id(obj_nonstrictify(nf.dom))
-    out = chain_c(*(_g_slice(s.left, s.gen, s.right) for s in nf.slices))
+    ends = obj_nonstrictify(nf.dom), obj_nonstrictify(nf.cod)
+    out = (chain_c(*(_g_slice(s.left, s.gen, s.right) for s in nf.slices))
+           if nf.slices else Id(ends[0]))
     boxes = tuple((sum(x.size for x in s.left) + p, *box)
                   for s in nf.slices if isinstance(s.gen, Lift)
                   for p, *box in _box_walk(s.gen.mor, sig)[2])
-    ends = obj_nonstrictify(nf.dom), obj_nonstrictify(nf.cod)
-    try:  # a strict term's wires may name undeclared bases; a walk may not
-        validate_obj(ends[0], sig)
-    except UnknownName:
-        return out
     _store(out, (sig, (*ends, boxes), None))
     return out
 

@@ -37,7 +37,7 @@ from .terms import (
     Signature, Tensor, TensorM, TermError, TypeMismatch, UnitL, UnitLInv,
     UnitR, UnitRInv, Unit, _box_walk, _Composite, _fact, _INVERSE,
     _leaf_names, _PARS, _placed, _postorder, _SEQS, _store, _stored_walk,
-    _Term, invert_structural, path_to, show_obj,
+    _Term, invert_structural, path_to, show_obj, validate_obj,
 )
 
 Wires = tuple  # tuple[ObjC, ...]
@@ -241,6 +241,8 @@ def _record_walk(t: MorD, sig: Signature) -> tuple:
             d2, c2, _ = ends.pop()
             d1, c1, n = ends[-1]
             if c1 != d2:
+                for x in c1 + d2:
+                    validate_obj(x, sig)
                 raise TypeMismatch(
                     path_to(t, u),
                     f"{show_wires(c1)} composed against {show_wires(d2)}")
@@ -264,6 +266,8 @@ def _record_walk(t: MorD, sig: Signature) -> tuple:
             diff.append(0)
             k += 1
     dom, cod, _ = ends[0]
+    for x in dom:  # the rule of ``terms._box_walk``
+        validate_obj(x, sig)
     return dom, cod, recs, diff, lifts
 
 

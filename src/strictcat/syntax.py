@@ -266,27 +266,13 @@ def parse_wires(text: str) -> Wires:
 
 class _Shown(dict):
     """Object labels shown so far in one call, by node: labels are
-    interned, so each distinct label, and each distinct part of one, is
-    shown once however often the call prints it, and a tensor is shown
-    from its halves' texts."""
+    interned, so each distinct label is shown once however often the call
+    prints it.  Only the labels the call prints are stored, so the table
+    is linear in what it prints, at any depth."""
 
     def __missing__(self, label):
-        if not isinstance(label, Tensor):
-            text = self[label] = show_obj(label)
-            return text
-        stack = [label]
-        while stack:
-            a = stack[-1]
-            if isinstance(a, Tensor):
-                todo = [h for h in (a.right, a.left) if h not in self]
-                if todo:
-                    stack += todo
-                    continue
-                self[a] = f"({self[a.left]} * {self[a.right]})"
-            else:
-                self[a] = show_obj(a)
-            stack.pop()
-        return self[label]
+        text = self[label] = show_obj(label)
+        return text
 
     def wires(self, w) -> tuple[str, ...]:
         return tuple(map(self.__getitem__, w))

@@ -546,6 +546,12 @@ def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
     ``f`` as a diagram of the free strict monoidal category on the
     flattened signature.  The boxes are a tuple; nothing is stored.  A
     subterm that stores its walk for ``sig`` is taken whole.
+
+    ``f`` is well typed when its joins match and its domain names only
+    bases of ``sig``: every other object in it is built from its domain,
+    the unit and the generators' types.  So only the domain is checked,
+    and the two sides of a join that fails, to report an undeclared name
+    as such; ``strict`` types its terms by the same rule.
     """
     gens = sig.generators
     if type(f) is Gen and f.name in gens:  # a lone generator, as most lifts
@@ -560,6 +566,8 @@ def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
             d2, c2, _ = ends.pop()
             d1, c1, n = ends[-1]
             if c1 != d2:
+                validate_obj(c1, sig)
+                validate_obj(d2, sig)
                 raise TypeMismatch(
                     path_to(f, t),
                     f"{show_obj(c1)} composed against {show_obj(d2)}")
@@ -582,21 +590,16 @@ def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
             boxes.append((t.name, d.size, c.size))
             diff.append(0)
         elif cls is Id:
-            validate_obj(t.obj, sig)
             d = c = t.obj
         elif cls is Assoc or cls is AssocInv:
-            for x in (t.a, t.b, t.c):
-                validate_obj(x, sig)
             d, c = Tensor(t.a, Tensor(t.b, t.c)), Tensor(Tensor(t.a, t.b), t.c)
             if cls is AssocInv:
                 d, c = c, d
         elif cls is UnitL or cls is UnitLInv:
-            validate_obj(t.obj, sig)
             d, c = Tensor(UNIT, t.obj), t.obj
             if cls is UnitLInv:
                 d, c = c, d
         elif cls is UnitR or cls is UnitRInv:
-            validate_obj(t.obj, sig)
             d, c = Tensor(t.obj, UNIT), t.obj
             if cls is UnitRInv:
                 d, c = c, d
@@ -610,6 +613,7 @@ def _box_walk(f: MorC, sig: Signature) -> tuple[ObjC, ObjC, tuple]:
             raise TypeError(t)
         ends.append((d, c, n))
     dom, cod, _ = ends[0]
+    validate_obj(dom, sig)
     return dom, cod, _placed(boxes, diff)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -41,3 +42,14 @@ def catw_model(catw_sig):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def with_undeclared_base(text: str, seed: int) -> str | None:
+    """``text`` with one of its base names ``x``, ``y`` and ``z``, picked by
+    ``seed``, replaced by ``q``, which no fixture declares; None when
+    ``text`` names none of them."""
+    names = list(re.finditer(r"\b[xyz]\b", text))
+    if not names:
+        return None
+    m = names[seed % len(names)]
+    return text[:m.start()] + "q" + text[m.end():]

@@ -68,9 +68,33 @@ def test_canonical_then_nonstrictify(catw_path):
     code, out = run_cli("canonical", "(W * (I * W))", "((W * I) * W)")
     assert code == 0
     dterm = out.split("output: ", 1)[1].strip()
-    code, out = run_cli("--json", "equal", "--sig", catw_path,
-                        "alpha[W,I,W]", "alpha[W,I,W]")
+    code, out = run_cli("nonstrictify", "--sig", catw_path, dterm)
     assert code == 0
+    back = out.split("output: ", 1)[1].strip()
+    code, out = run_cli("--json", "equal", "--sig", catw_path,
+                        back, "alpha[W,I,W]")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equal"
+
+
+def test_a_term_that_names_a_base_needs_its_signature(sig_path, capsys):
+    # both languages check base names against the signature, whose
+    # default declares none
+    code, out = run_cli("nonstrictify", "pack[x,y] (*) idD[z]")
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown name: 'x'\n"
+    code, out = run_cli("nonstrictify", "--sig", sig_path,
+                        "pack[x,y] (*) idD[z]")
+    assert code == 0
+    assert out == "output: alpha[x,y,z]\n"
+
+
+@pytest.mark.parametrize("argv", [("parse", "id[I]"),
+                                  ("canonical", "W", "W")])
+def test_commands_that_read_no_signature_take_no_sig(argv, sig_path):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv[0], "--sig", sig_path, *argv[1:])
+    assert err.value.code == 2
 
 
 def test_equal_command_unitors_at_unit(catw_path):

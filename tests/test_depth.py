@@ -8,6 +8,7 @@ that applies to its term, and compares it with a copy built apart.
 import copy
 import pickle
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,14 +17,15 @@ from strictcat.coherence import EQUAL, equal_structural
 from strictcat.finmodel import FinModel, eval_mor
 from strictcat.functors import nonstrictify, strictify_expand
 from strictcat.generate import random_adapter_walk
+from strictcat.render import layout
 from strictcat.strict import (
     CompD, IdD, Pack, Unpack, _snf_walk, canonical_d, chain_d, invert_d,
     normalize_adapters, slice_term, typecheck_d,
 )
 from strictcat.syntax import parse_cmor, parse_dmor, show_cmor, show_dmor
 from strictcat.terms import (
-    Gen, Id, UnitR, UnitRInv, chain_c, invert_structural, make_signature,
-    typecheck_c,
+    Gen, Id, Tensor, UnitR, UnitRInv, chain_c, invert_structural,
+    make_signature, show_obj, typecheck_c,
 )
 
 from conftest import X, Y
@@ -121,3 +123,23 @@ def test_deep_chain_prints_copies_and_pickles(name):
     for other in (copy.copy(t), copy.deepcopy(t),
                   pickle.loads(pickle.dumps(t))):
         assert other is not t and other == t
+
+
+def test_deep_label_prints_in_linear_memory():
+    # each printer shows a label once, as ``show_obj`` does, and stores no
+    # text for its parts, which would take memory quadratic in its depth
+    a = X
+    for _ in range(DEPTH):
+        a = Tensor(X, a)
+    text = show_obj(a)
+    calls = [(lambda: show_cmor(Id(a)), f"id[{text}]"),
+             (lambda: show_dmor(IdD((a,))), f"idD[{text}]"),
+             (lambda: layout(IdD((a,)), SIG).dom, (text,))]
+    for call, expected in calls:
+        tracemalloc.start()
+        try:
+            assert call() == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * len(text)

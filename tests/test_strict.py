@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
-    UNIT, Comp, Gen, Id, Tensor, TypeMismatch, UnknownName,
+    UNIT, Base, Comp, Gen, Id, Tensor, TypeMismatch, UnknownName,
 )
 from strictcat import demos, strict
 from strictcat.strict import (
@@ -15,12 +15,14 @@ from strictcat.strict import (
     typecheck_d, unpack_obj, _diagram, _records,
 )
 from strictcat.finmodel import eval_mor_d, extensional_equal
-from strictcat.functors import strictify_expand
+from strictcat.functors import nonstrictify, strictify_expand
 from strictcat.generate import (
     enumerate_catw_objects, random_adapter_walk, random_dmor, random_obj,
 )
 
-from conftest import W, X, Y, Z
+from strictcat.syntax import parse_dmor, show_dmor
+
+from conftest import W, X, Y, Z, with_undeclared_base
 
 
 def test_typecheck_pack(demo_sig):
@@ -62,6 +64,38 @@ def test_typecheck_reports_deep_position(demo_sig):
         typecheck_d(CompD(TensorD(IdD((X,)), bad), TensorD(bad, IdD((X,)))),
                     demo_sig)
     assert err.value.position == "root.first.right"
+
+
+# Strict terms are typed by the rule of ``terms._box_walk``: the joins match
+# and the domain's labels name only declared bases.
+
+def test_typecheck_rejects_an_undeclared_base_anywhere(demo_sig):
+    # one base name of a random term's text replaced by an undeclared one,
+    # in a wire label or inside a lift
+    mutated = 0
+    for seed in range(2000):
+        text = with_undeclared_base(show_dmor(random_dmor(demo_sig, 3, seed)),
+                                    seed)
+        if text is None:
+            continue
+        with pytest.raises(UnknownName) as err:
+            typecheck_d(parse_dmor(text), demo_sig)
+        assert err.value.name == "q"
+        mutated += 1
+    assert mutated > 1900
+
+
+def test_every_layer_rejects_an_undeclared_base(demo_sig):
+    q = Base("q")
+    terms = [chain_d(Pack(X, q), Unpack(X, q)),  # well composed
+             CompD(IdD((X, Y)), Pack(X, q)),  # a failing join
+             CompD(Pack(X, q), IdD((Tensor(X, Y),)))]
+    for t in terms:
+        for call in (typecheck_d, seq_normal_form, normalize_adapters,
+                     nonstrictify):
+            with pytest.raises(UnknownName) as err:
+                call(t, demo_sig)
+            assert err.value.name == "q"
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from strictcat.strict import (
 from strictcat.functors import strictify_expand
 from strictcat.finmodel import FinModel, eval_mor
 from strictcat.generate import random_dmor, random_mor, random_obj
+from strictcat.syntax import parse_cmor, show_cmor
 
-from conftest import W, X, Y, Z
+from conftest import W, X, Y, Z, with_undeclared_base
 
 
 def test_typecheck_identity(catw_sig):
@@ -64,6 +65,38 @@ def test_typecheck_reports_deep_position(demo_sig):
 def test_typecheck_rejects_unknown_generator(catw_sig):
     with pytest.raises(UnknownName):
         typecheck_c(Gen("nope"), catw_sig)
+
+
+# A term is well typed when its joins match and its domain names only
+# declared bases: every other object in it is built from its domain.
+
+def test_typecheck_rejects_an_undeclared_base_anywhere(demo_sig):
+    # one base name of a random term's text replaced by an undeclared one
+    mutated = 0
+    for seed in range(2000):
+        text = with_undeclared_base(show_cmor(random_mor(demo_sig, 4, seed)),
+                                    seed)
+        if text is None:
+            continue
+        with pytest.raises(UnknownName) as err:
+            typecheck_c(parse_cmor(text), demo_sig)
+        assert err.value.name == "q"
+        mutated += 1
+    assert mutated > 1800
+
+
+def test_typecheck_rejects_an_undeclared_base_in_an_inner_atom(demo_sig):
+    # no join fails: the name is found in the domain
+    for text in ("id[x] (*) alpha[q,y,z]", "lambda'[q] (*) f",
+                 "(id[x] (*) rho[q]) ; (id[x] (*) rho'[q])"):
+        with pytest.raises(UnknownName) as err:
+            typecheck_c(parse_cmor(text), demo_sig)
+        assert err.value.name == "q"
+    # a failing join reports an undeclared name on either side
+    for text in ("id[x] ; id[q]", "id[q] ; id[x]", "f ; alpha[q,y,z]"):
+        with pytest.raises(UnknownName) as err:
+            typecheck_c(parse_cmor(text), demo_sig)
+        assert err.value.name == "q"
 
 
 def test_typecheck_generator_types(demo_sig):

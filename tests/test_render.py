@@ -1,6 +1,9 @@
+import hashlib
+
 from strictcat.strict import IdD, Pack, normalize_adapters
 from strictcat.render import emit_dot, emit_svg, layout
-from strictcat.generate import random_dmor
+from strictcat.functors import strictify_expand
+from strictcat.generate import random_dmor, random_mor
 from strictcat import demos
 
 from conftest import X, Y
@@ -88,3 +91,25 @@ def test_ba_adapter_glyphs_before_and_after():
 
     assert adapter_glyphs(before) == 18
     assert adapter_glyphs(after) == 6
+
+
+def _pin_inputs(demo_sig):
+    yield IdD(()), demo_sig
+    psig = demos.parity_signature()
+    for n in range(1, 9):
+        yield demos.parity_term(n), psig
+    for seed in range(200):
+        yield random_dmor(demo_sig, 3, seed), demo_sig
+    for seed in range(80):
+        t = strictify_expand(random_mor(demo_sig, 4, seed), demo_sig)
+        yield normalize_adapters(t, demo_sig), demo_sig
+
+
+def test_render_bytes_pinned(demo_sig):
+    # DOT and SVG of empty, parity, random strict and normalised diagrams
+    h = hashlib.sha256()
+    for t, sig in _pin_inputs(demo_sig):
+        l = layout(t, sig)
+        h.update(emit_dot(l).encode())
+        h.update(emit_svg(l).encode())
+    assert h.hexdigest()[:16] == "dbd2dc584709e1d6"

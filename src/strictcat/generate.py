@@ -137,19 +137,17 @@ def _nth_move(x: ObjC, k: int) -> MorC:
 # ---------------------------------------------------------------------------
 # Strict-category generators
 
-def adapter_moves(wires: Wires) -> list[tuple[Wires, MorD, Wires]]:
-    """Every adapter slice applicable to the interface ``wires``."""
-    out = []
-    for i in range(len(wires) + 1):
-        out.append((wires[:i], UnitIntro(), wires[i:]))
+def adapter_moves(wires: Wires) -> list[tuple[int, MorD, int]]:
+    """Every adapter slice applicable to the interface ``wires``, as
+    ``(pos, gen, n)``: ``gen`` takes the ``n`` wires from ``pos`` on."""
+    out = [(i, UnitIntro(), 0) for i in range(len(wires) + 1)]
     for i, label in enumerate(wires):
         if isinstance(label, Unit):
-            out.append((wires[:i], UnitElim(), wires[i + 1:]))
+            out.append((i, UnitElim(), 1))
         if isinstance(label, Tensor):
-            out.append((wires[:i], Unpack(label.left, label.right),
-                        wires[i + 1:]))
+            out.append((i, Unpack(label.left, label.right), 1))
     for i in range(len(wires) - 1):
-        out.append((wires[:i], Pack(wires[i], wires[i + 1]), wires[i + 2:]))
+        out.append((i, Pack(wires[i], wires[i + 1]), 2))
     return out
 
 
@@ -164,19 +162,13 @@ def random_adapter_walk(sig: Signature, start: Wires, steps: int, seed=0,
         if structural_lifts:
             for i, label in enumerate(current):
                 if isinstance(label, Tensor) and isinstance(label.right, Tensor):
-                    options.append((current[:i],
-                                    Lift(Assoc(label.left, label.right.left,
-                                               label.right.right)),
-                                    current[i + 1:]))
+                    options.append((i, Lift(Assoc(label.left, label.right.left,
+                                                  label.right.right)), 1))
                 if isinstance(label, Tensor) and isinstance(label.left, Unit):
-                    options.append((current[:i], Lift(UnitL(label.right)),
-                                    current[i + 1:]))
-                options.append((current[:i], Lift(UnitRInv(label)),
-                                current[i + 1:]))
-        if not options:
-            break
-        left, gen, right = rng.choice(options)
-        s = make_slice(left, gen, right, sig)
+                    options.append((i, Lift(UnitL(label.right)), 1))
+                options.append((i, Lift(UnitRInv(label)), 1))
+        pos, gen, n = rng.choice(options)
+        s = make_slice(current[:pos], gen, current[pos + n:], sig)
         parts.append(slice_term(s))
         current = s.cod
     if not parts:

@@ -19,14 +19,11 @@ from .syntax import _Shown, show_cmor
 
 @dataclass(frozen=True)
 class ColumnLayout:
-    index: int
     kind: str              # generator | pack | unpack | unit-intro | unit-elim
     label: str
     pos: int               # first wire consumed
-    n_in: int
-    n_out: int
-    wires_in: tuple[str, ...]
-    wires_out: tuple[str, ...]
+    wires_in: tuple[str, ...]    # the wires consumed, from ``pos`` on
+    wires_out: tuple[str, ...]   # the wires put in their place
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,7 @@ class DiagramLayout:
     columns: tuple[ColumnLayout, ...]
 
 
-def _column_of(index: int, s: Slice, shown: _Shown) -> ColumnLayout:
+def _column_of(s: Slice, shown: _Shown) -> ColumnLayout:
     gen = s.gen
     if isinstance(gen, Lift):
         kind, label = "generator", show_cmor(gen.mor)
@@ -50,17 +47,15 @@ def _column_of(index: int, s: Slice, shown: _Shown) -> ColumnLayout:
         kind, label = "unit-elim", ""
     else:
         raise TypeError(gen)
-    return ColumnLayout(
-        index=index, kind=kind, label=label, pos=len(s.left),
-        n_in=len(s.gen_dom), n_out=len(s.gen_cod),
-        wires_in=shown.wires(s.dom), wires_out=shown.wires(s.cod))
+    return ColumnLayout(kind, label, s.pos, shown.wires(s.gen_dom),
+                        shown.wires(s.gen_cod))
 
 
 def layout(t: MorD, sig: Signature) -> DiagramLayout:
     """Columns of the diagram of ``t``: its sequential normal form."""
     nf = seq_normal_form(t, sig)
     shown = _Shown()
-    columns = tuple(_column_of(i, s, shown) for i, s in enumerate(nf.slices))
+    columns = tuple(_column_of(s, shown) for s in nf.slices)
     return DiagramLayout(shown.wires(nf.dom), shown.wires(nf.cod), columns)
 
 
@@ -85,17 +80,16 @@ def emit_dot(l: DiagramLayout) -> str:
         node = f"in{i}"
         lines.append(f"  {node} [shape=point, comment=\"input\"];")
         producers.append(node)
-    for col in l.columns:
-        node = f"s{col.index}"
+    for i, col in enumerate(l.columns):
+        node = f"s{i}"
         shape = _DOT_SHAPES[col.kind]
         text = col.label.replace("\"", "\\\"")
         lines.append(
             f"  {node} [shape={shape}, label=\"{text}\", comment=\"{col.kind}\"];")
-        consumed = producers[col.pos:col.pos + col.n_in]
-        for j, source in enumerate(consumed):
-            wire = col.wires_in[col.pos + j]
+        end = col.pos + len(col.wires_in)
+        for source, wire in zip(producers[col.pos:end], col.wires_in):
             lines.append(f"  {source} -> {node} [label=\"{wire}\"];")
-        producers[col.pos:col.pos + col.n_in] = [node] * col.n_out
+        producers[col.pos:end] = [node] * len(col.wires_out)
     for i, label in enumerate(l.cod):
         node = f"out{i}"
         lines.append(f"  {node} [shape=point, comment=\"output\"];")
@@ -113,9 +107,12 @@ _Y_PAD = 30
 def emit_svg(l: DiagramLayout) -> str:
     """SVG 1.1 document on a fixed grid, one column per slice."""
     n_cols = len(l.columns)
-    max_wires = max([len(l.dom), len(l.cod)]
-                    + [len(c.wires_in) for c in l.columns]
-                    + [len(c.wires_out) for c in l.columns] or [1])
+    interfaces = [l.dom]
+    for c in l.columns:
+        labels = interfaces[-1]
+        interfaces.append(labels[:c.pos] + c.wires_out
+                          + labels[c.pos + len(c.wires_in):])
+    max_wires = max(map(len, interfaces))
     width = _X_PAD * 2 + _X_STEP * (n_cols + 1)
     height = _Y_PAD * 2 + _Y_STEP * max(max_wires, 1)
     parts = [
@@ -131,7 +128,6 @@ def emit_svg(l: DiagramLayout) -> str:
     def col_x(i: int) -> int:
         return _X_PAD + (i + 1) * _X_STEP
 
-    interfaces = [l.dom] + [c.wires_out for c in l.columns]
     for i, labels in enumerate(interfaces):
         x0 = _X_PAD if i == 0 else col_x(i - 1)
         x1 = col_x(i) if i < n_cols else _X_PAD + _X_STEP * (n_cols + 1)
@@ -141,10 +137,10 @@ def emit_svg(l: DiagramLayout) -> str:
                 f"  <g class=\"wire\"><line x1=\"{x0}\" y1=\"{y}\" "
                 f"x2=\"{x1}\" y2=\"{y}\" stroke=\"black\"/>"
                 f"<text x=\"{x0 + 4}\" y=\"{y - 4}\">{_esc(label)}</text></g>")
-    for col in l.columns:
-        x = col_x(col.index)
+    for i, col in enumerate(l.columns):
+        x = col_x(i)
         y = wire_y(col.pos)
-        span = max(col.n_in, col.n_out, 1)
+        span = max(len(col.wires_in), len(col.wires_out), 1)
         h = _Y_STEP * (span - 1) + 20
         parts.append(f"  <g class=\"slice {col.kind}\">")
         if col.kind == "generator":

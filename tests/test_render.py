@@ -21,7 +21,9 @@ def test_layout_pack_shape(demo_sig):
     assert len(l.columns) == 1
     col = l.columns[0]
     assert col.kind == "pack"
-    assert col.n_in == 2 and col.n_out == 1
+    assert col.pos == 0
+    assert col.wires_in == ("x", "y")
+    assert col.wires_out == ("(x * y)",)
 
 
 def test_layout_parity_cascade():
@@ -113,3 +115,16 @@ def test_render_bytes_pinned(demo_sig):
         h.update(emit_dot(l).encode())
         h.update(emit_svg(l).encode())
     assert h.hexdigest()[:16] == "dbd2dc584709e1d6"
+
+
+def test_columns_replay_from_dom_to_cod(demo_sig):
+    # each column consumes the labels at its position of the interface
+    # before it, and splicing in what it produces ends at the codomain
+    for t, sig in _pin_inputs(demo_sig):
+        l = layout(t, sig)
+        labels = l.dom
+        for col in l.columns:
+            end = col.pos + len(col.wires_in)
+            assert labels[col.pos:end] == col.wires_in
+            labels = labels[:col.pos] + col.wires_out + labels[end:]
+        assert labels == l.cod

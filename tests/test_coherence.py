@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
     UNIT, Assoc, Base, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitR,
-    is_structural, make_signature, objsize, typecheck_c,
+    UnknownName, is_structural, make_signature, objsize, substitute,
+    typecheck_c,
 )
 from strictcat.strict import CompD, IdD, Lift, canonical_d, normalize_adapters
 from strictcat.coherence import (
@@ -18,7 +19,7 @@ from strictcat.finmodel import (
     FinModel, eval_mor, eval_mor_d, extensional_equal,
 )
 from strictcat.generate import (
-    enumerate_catw_objects, random_dmor, random_mor_from,
+    enumerate_catw_objects, random_dmor, random_mor_from, random_obj,
     random_singleton_adapter_term, random_structural_walk,
 )
 from strictcat.syntax import parse_cmor
@@ -266,6 +267,33 @@ def test_canonical_nat_iso_arity_check(demo_sig):
     from strictcat.terms import ArityMismatch
     with pytest.raises(ArityMismatch):
         canonical_nat_iso(W, Tensor(W, W), (X,), demo_sig)
+
+
+def test_canonical_nat_iso_agrees_with_canonical_read_back(demo_sig,
+                                                           demo_model):
+    # every pair of shapes with equal leaf counts, up to 4 leaves and one
+    # unit, against the read-back of the canonical strict arrow
+    shapes = enumerate_catw_objects(4, 1)
+    pairs = [(a, b) for a in shapes for b in shapes if a.size == b.size]
+    assert len(pairs) == 6168
+    for i, (shape_a, shape_b) in enumerate(pairs):
+        rng = random.Random(i)
+        fill = tuple(random_obj(demo_sig, 2, rng) for _ in range(shape_a.size))
+        a, b = substitute(shape_a, fill), substitute(shape_b, fill)
+        out = canonical_nat_iso(shape_a, shape_b, fill, demo_sig)
+        ref = nonstrictify(canonical_d((a,), (b,)), demo_sig)
+        assert equal_structural(out, ref, demo_sig).kind == EQUAL
+        assert eval_mor(out, demo_model) == eval_mor(ref, demo_model)
+        assert typecheck_c(out, demo_sig) == (a, b)
+
+
+@pytest.mark.parametrize("shape_b", [
+    Tensor(Tensor(W, W), W), Tensor(W, Tensor(W, W))])
+def test_canonical_nat_iso_rejects_undeclared_fill(demo_sig, shape_b):
+    with pytest.raises(UnknownName) as err:
+        canonical_nat_iso(Tensor(Tensor(W, W), W), shape_b,
+                          (X, Tensor(Base("q"), Y), Z), demo_sig)
+    assert err.value.name == "q"
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .strict import (
     typecheck_d, unpack_obj,
 )
 from .functors import (
-    epsilon, eta, nonstrictify, obj_nonstrictify, psi_big, psi_small,
-    strictify_expand, strictify_shallow,
+    epsilon, eta, nonstrictify, obj_nonstrictify, psi_big, psi_big_inv,
+    psi_small, right_nesting, strictify_expand, strictify_shallow,
 )
 from .coherence import (
     EQUAL, NOT_EQUAL, UNKNOWN, EqVerdict, canonical_nat_iso,

@@ -13,9 +13,10 @@ reads normal forms back from the same routine, ``left_normal_form``, so
 the expansions of two such terms normalise to identical strict terms.
 
 The canonical arrow between two wire sequences with the same flattening
-is ``unpack`` then ``pack`` (see :mod:`strictcat.strict`); this module
-also wraps it into the synthesis of canonical natural isomorphisms
-between two bracketings of the same shape.
+is ``unpack`` then ``pack`` (see :mod:`strictcat.strict`).  Canonical
+natural isomorphisms between two bracketings of the same shape are built
+in the underlying category directly, by induction on each filled label
+(``functors.right_nesting``), as the strictness proof allows.
 
 Verdicts are sound but not complete: where a generator has no output
 wire (``y -> I``, or a scalar ``I -> I``), equal diagrams can reach
@@ -28,14 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    MorC, ObjC, Signature, TermError, ArityMismatch, _boxes, objsize,
-    substitute,
+    Comp, Id, MorC, ObjC, Signature, TermError, ArityMismatch, _boxes,
+    _store, objsize, substitute, validate_obj,
 )
 from .strict import (
     FlatteningMismatch, MorD, _diagram, canonical_d, left_normal_form,
     normalize_adapters, pack_obj, unpack_obj,
 )
-from .functors import nonstrictify, strictify_expand
+from .functors import nonstrictify, right_nesting, strictify_expand
 from .finmodel import eval_mor, extensional_equal
 
 __all__ = [
@@ -91,17 +92,24 @@ def canonical_nat_iso(shape_a: ObjC, shape_b: ObjC,
     """Structural arrow ``shape_a[fill] -> shape_b[fill]``.
 
     Both shapes must have the same number of leaves, each replaced by
-    the corresponding fill object; the result is the nonstrictified
-    canonical adapter between the substituted wires and is independent
-    (up to equality) of any other structural morphism between them.
+    the corresponding fill object.  Both filled shapes have the same
+    base leaves, so the result is ``right_nesting`` of the first followed
+    by the inverse of the second's, or the identity when they are one
+    object; by coherence it equals any other structural morphism between
+    them.  The result stores its typed walk, so equality and the
+    finite-set model do not walk it.
     """
     if objsize(shape_a) != objsize(shape_b):
         raise ArityMismatch(
             f"shapes have {objsize(shape_a)} and {objsize(shape_b)} leaves")
     filled_a = substitute(shape_a, tuple(fill))
     filled_b = substitute(shape_b, tuple(fill))
-    kappa = canonical_d((filled_a,), (filled_b,))
-    return nonstrictify(kappa, sig)
+    validate_obj(filled_a, sig)
+    if filled_a is filled_b:
+        return Id(filled_a)
+    out = Comp(right_nesting(filled_a)[0], right_nesting(filled_b)[1])
+    _store(out, (sig, (filled_a, filled_b, ()), None))
+    return out
 
 
 def fg_singleton_check(f: MorD, sig: Signature) -> bool:

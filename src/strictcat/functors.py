@@ -6,7 +6,10 @@ signature generators.  ``nonstrictify`` reads a strict term back as a
 morphism of the underlying category from its sequential normal form,
 one slice at a time.  ``psi_big``/``psi_small`` and
 ``epsilon``/``eta`` are the coherence data making both directions
-monoidal and mutually inverse up to isomorphism.
+monoidal and mutually inverse up to isomorphism.  ``right_nesting``
+builds, by induction on a label, the structural arrow from it to the
+right-nested tensor of its base leaves and back, through ``psi_big`` and
+``psi_big_inv``; canonical natural isomorphisms are made of these.
 
 Each layer stores what it knows about the term it builds on the term
 (``terms._Composite``): ``strictify_expand`` its output's diagram (ends,
@@ -21,13 +24,13 @@ stores its output's typed walk, so a term that contains the read-back
 from __future__ import annotations
 
 from .terms import (
-    UNIT, Assoc, AssocInv, Comp, Id, MorC, ObjC, Signature, Tensor,
-    TensorM, UnitL, UnitLInv, UnitR, UnitRInv, _box_walk, _boxes, _store,
-    chain_c, typecheck_c,
+    UNIT, Assoc, AssocInv, Base, Comp, Id, MorC, ObjC, Signature, Tensor,
+    TensorM, UnitL, UnitLInv, UnitR, UnitRInv, _box_walk, _boxes, _set,
+    _store, chain_c, flatten, typecheck_c,
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, _expand, seq_normal_form,
+    Wires, _expand, _label_packing, seq_normal_form,
 )
 
 
@@ -140,19 +143,71 @@ def nonstrictify(t: MorD, sig: Signature) -> MorC:
 
 def psi_big(x: Wires, y: Wires) -> MorC:
     """Coherence iso ``G(x) * G(y) -> G(x ++ y)`` of nonstrictification."""
-    if not x and not y:
-        return UnitL(UNIT)  # equals the right unitor at the unit object
+    return _psi_big_pair(x, y)[0]
+
+
+def psi_big_inv(x: Wires, y: Wires) -> MorC:
+    """The inverse ``G(x ++ y) -> G(x) * G(y)`` of ``psi_big(x, y)``."""
+    return _psi_big_pair(x, y)[1]
+
+
+def _psi_big_pair(x: Wires, y: Wires) -> tuple[MorC, MorC]:
+    # ``psi_big`` and its inverse, built by one loop
+    if not x and not y:  # the left unitor equals the right one at the unit
+        return UnitL(UNIT), UnitLInv(UNIT)
     if not y:
-        return UnitR(obj_nonstrictify(x))
-    if not x:
-        return UnitL(obj_nonstrictify(y))
+        gx = obj_nonstrictify(x)
+        return UnitR(gx), UnitRInv(gx)
     gy = obj_nonstrictify(y)
+    if not x:
+        return UnitL(gy), UnitLInv(gy)
     rest = x[-1]
-    out = Id(Tensor(rest, gy))
+    out = inv = Id(Tensor(rest, gy))
     for head in reversed(x[:-1]):  # ``rest`` is G of the wires after it
         out = Comp(AssocInv(head, rest, gy), TensorM(Id(head), out))
+        inv = Comp(TensorM(Id(head), inv), Assoc(head, rest, gy))
         rest = Tensor(head, rest)
-    return out
+    return out, inv
+
+
+def right_nesting(a: ObjC) -> tuple[MorC, MorC]:
+    """The structural arrow ``a -> G(w)``, where ``w`` is the wire
+    sequence of the base leaves of ``a``, and its inverse.
+
+    Built by induction on the label: a base or the unit gives the
+    identity, and a tensor ``l * r`` gives ``(rn(l) * rn(r)) ;
+    psi_big(w(l), w(r))``, its inverse built from the halves' inverses
+    and ``psi_big_inv``.  A tensor label stores the pair after its
+    adapter pair (``strict._label_packing``) on first use, so later
+    calls build nothing.
+    """
+    stored = a.packing
+    if stored is not None and len(stored) == 4:
+        return stored[2:]
+    made: dict = {}  # label -> (arrow, inverse, its base leaves as wires)
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        if node in made:
+            continue
+        if not isinstance(node, Tensor):
+            made[node] = (Id(node), Id(node),
+                          (node,) if isinstance(node, Base) else ())
+            continue
+        stored = node.packing
+        if stored is not None and len(stored) == 4:
+            made[node] = (*stored[2:], tuple(map(Base, flatten(node))))
+            continue
+        l, r = node.left, node.right
+        if l not in made or r not in made:
+            stack += (node, r, l)
+            continue
+        (fl, il, x), (fr, ir, y) = made[l], made[r]
+        psi, inv = _psi_big_pair(x, y)
+        pair = Comp(TensorM(fl, fr), psi), Comp(inv, TensorM(il, ir))
+        _set(node, "packing", (*_label_packing(node)[:2], *pair))
+        made[node] = (*pair, x + y)
+    return made[a][:2]
 
 
 def psi_small() -> MorC:

@@ -325,11 +325,12 @@ def _packing(x: Wires, up: bool) -> MorD:
     return out
 
 
-def _label_packing(label: ObjC) -> tuple[MorD, MorD]:
-    """``(unpack_obj((label,)), pack_obj((label,)))``.  A unit or tensor
-    label stores its pair on first use, built from its halves' pairs, so
-    later calls build nothing; a base label's pair is one fresh ``IdD``,
-    which the label cannot store without referring to itself."""
+def _label_packing(label: ObjC) -> tuple:
+    """``(unpack_obj((label,)), pack_obj((label,)))``, or that pair followed
+    by more arrows that ``functors.right_nesting`` stores after it.  A unit
+    or tensor label stores its pair on first use, built from its halves'
+    pairs, so later calls build nothing; a base label's pair is one fresh
+    ``IdD``, which the label cannot store without referring to itself."""
     if isinstance(label, Base):
         idd = IdD((label,))
         return idd, idd
@@ -347,8 +348,9 @@ def _label_packing(label: ObjC) -> tuple[MorD, MorD]:
                 stack += todo
                 continue
             l, r = node.left, node.right
-            (ul, pl), (ur, pr) = ((IdD((h,)),) * 2 if isinstance(h, Base)
-                                  else h.packing for h in (l, r))
+            (ul, pl, *_), (ur, pr, *_) = (
+                (IdD((h,)),) * 2 if isinstance(h, Base) else h.packing
+                for h in (l, r))
             object.__setattr__(node, "packing", (
                 CompD(Unpack(l, r), TensorD(ul, ur)),
                 CompD(TensorD(pl, pr), Pack(l, r))))

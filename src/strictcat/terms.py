@@ -80,8 +80,10 @@ class _Node:
     """Slots of every object node besides its fields: ``size``, its number
     of base leaves, stored at construction; ``checked``, the base names it
     last passed ``validate_obj`` against; and ``packing``, its (unpack,
-    pack) adapter pair, which ``strict`` fills on first use.  A node is
-    immutable and the only one of its structure, so a copy is the node."""
+    pack) adapter pair, which ``strict`` fills on first use, followed on a
+    tensor by its ``functors.right_nesting`` pair once a natural
+    isomorphism asks for it.  A node is immutable and the only one of its
+    structure, so a copy is the node."""
     __slots__ = ("__weakref__", "size", "checked", "packing")
 
     def __copy__(self):

@@ -1,15 +1,20 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strictcat import coherence, functors, strict, terms
 from strictcat.terms import (
     UNIT, Assoc, Base, Comp, Gen, Id, Tensor, TensorM, UnitL, UnitR,
-    UnknownName, is_structural, make_signature, objsize, substitute,
-    typecheck_c,
+    UnknownName, _box_walk, _boxes, is_structural, make_signature, objsize,
+    substitute, typecheck_c,
 )
-from strictcat.strict import CompD, IdD, Lift, canonical_d, normalize_adapters
+from strictcat.strict import (
+    CompD, IdD, Lift, canonical_d, normalize_adapters, typecheck_d,
+)
 from strictcat.coherence import (
     EQUAL, NOT_EQUAL, UNKNOWN, PreconditionError, canonical_nat_iso,
     equal_structural, fg_singleton_check,
@@ -19,10 +24,12 @@ from strictcat.finmodel import (
     FinModel, eval_mor, eval_mor_d, extensional_equal,
 )
 from strictcat.generate import (
-    enumerate_catw_objects, random_dmor, random_mor_from, random_obj,
-    random_singleton_adapter_term, random_structural_walk,
+    enumerate_catw_objects, random_adapter_walk, random_dmor, random_mor,
+    random_mor_from, random_obj, random_singleton_adapter_term,
+    random_structural_walk,
 )
-from strictcat.syntax import parse_cmor
+from strictcat.render import emit_svg, layout
+from strictcat.syntax import parse_cmor, show_cmor, show_dmor
 
 from conftest import W, X, Y, Z
 
@@ -294,6 +301,128 @@ def test_canonical_nat_iso_rejects_undeclared_fill(demo_sig, shape_b):
         canonical_nat_iso(Tensor(Tensor(W, W), W), shape_b,
                           (X, Tensor(Base("q"), Y), Z), demo_sig)
     assert err.value.name == "q"
+
+
+def _nat_iso_cases(sig, count):
+    """``count`` shape pairs of equal leaf counts, each with a seeded fill."""
+    shapes = enumerate_catw_objects(3, 1)
+    pairs = [(a, b) for a in shapes for b in shapes if a.size == b.size]
+    rng = random.Random(5)
+    cases = []
+    for shape_a, shape_b in rng.sample(pairs, count):
+        fill = tuple(random_obj(sig, 3, rng) for _ in range(shape_a.size))
+        cases.append((shape_a, shape_b, fill))
+    return cases
+
+
+def test_canonical_nat_iso_stores_its_typed_walk(demo_sig):
+    # the stored walk is what a full walk finds; an equal signature that
+    # is another object makes ``_box_walk`` walk every node
+    twin = make_signature(demo_sig.base_objects, demo_sig.generators)
+    for shape_a, shape_b, fill in _nat_iso_cases(demo_sig, 300):
+        out = canonical_nat_iso(shape_a, shape_b, fill, demo_sig)
+        walk = (substitute(shape_a, fill), substitute(shape_b, fill), ())
+        assert _boxes(out, demo_sig) == _box_walk(out, twin) == walk
+
+
+def test_canonical_nat_iso_builds_no_strict_arrow(demo_sig, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("canonical_nat_iso went through a strict arrow")
+
+    for module, name in ((coherence, "canonical_d"), (strict, "canonical_d"),
+                         (coherence, "nonstrictify"),
+                         (functors, "nonstrictify")):
+        monkeypatch.setattr(module, name, refuse)
+    for shape_a, shape_b, fill in _nat_iso_cases(demo_sig, 100):
+        out = canonical_nat_iso(shape_a, shape_b, fill, demo_sig)
+        assert typecheck_c(out, demo_sig) == (substitute(shape_a, fill),
+                                              substitute(shape_b, fill))
+
+
+def _forget_nestings(clear_all=False):
+    """Drop every live label's stored ``right_nesting`` pair, and with
+    ``clear_all`` its adapter pair too."""
+    for a in list(terms._TENSORS.values()):
+        if clear_all or len(a.packing or ()) == 4:
+            object.__setattr__(a, "packing", None if clear_all
+                               else a.packing[:2])
+
+
+def _nesting_labels():
+    """The live labels that store a ``right_nesting`` pair."""
+    return [a for a in list(terms._TENSORS.values())
+            if len(a.packing or ()) == 4]
+
+
+def test_canonical_nat_iso_shared_between_threads(demo_sig):
+    # four threads build the same natural isomorphisms over labels whose
+    # stored arrows were all just cleared, so they fill the same slots at
+    # once; every answer must be the one a single thread gets
+    cases = _nat_iso_cases(demo_sig, 120)
+
+    def answers(block):
+        out = []
+        for shape_a, shape_b, fill in block:
+            t = canonical_nat_iso(shape_a, shape_b, fill, demo_sig)
+            out.append((t, _boxes(t, demo_sig)))
+        return out
+
+    blocks = [cases[k:] + cases[:k] for k in (0, 30, 60, 90)]
+    expected = [answers(block) for block in blocks]
+    _forget_nestings(clear_all=True)
+    results = [None] * len(blocks)
+    errors = []
+    start = threading.Barrier(len(blocks))
+
+    def run(k):
+        try:
+            start.wait()
+            results[k] = answers(blocks[k])
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(blocks))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert results == expected
+
+
+def test_only_natural_isomorphisms_store_right_nestings(demo_sig, catw_sig):
+    # canonical arrows, the normaliser and the whole query pipeline leave
+    # every label they touch without a right nesting
+    _forget_nestings()
+    kept = []  # so that no label the pipelines made is freed before the check
+    for seed in range(40):
+        for lifts in (False, True):
+            walk = random_adapter_walk(catw_sig, (Tensor(W, W), W), 12, seed,
+                                       structural_lifts=lifts)
+            dom, cod = typecheck_d(walk, catw_sig)
+            trip = CompD(canonical_d(dom, cod), canonical_d(cod, dom))
+            kept += [walk, normalize_adapters(walk, catw_sig),
+                     normalize_adapters(trip, catw_sig)]
+        f = random_mor(demo_sig, 4, seed)
+        g = parse_cmor(show_cmor(f))
+        nf = normalize_adapters(strictify_expand(g, demo_sig), demo_sig)
+        back = nonstrictify(nf, demo_sig)
+        kept += [typecheck_c(g, demo_sig), nf, back, show_cmor(back),
+                 show_dmor(nf), emit_svg(layout(nf, demo_sig)),
+                 equal_structural(f, back, demo_sig)]
+    assert _nesting_labels() == []
+    a = Tensor(Tensor(X, Tensor(Y, Z)), X)
+    kept.append(canonical_nat_iso(Tensor(Tensor(W, W), W),
+                                  Tensor(W, Tensor(W, W)),
+                                  (X, Tensor(Y, Z), X), demo_sig))
+    assert a in _nesting_labels()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import sys
 import threading
 
@@ -8,7 +9,7 @@ from strictcat import demos, strict, terms
 from strictcat.terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, Tensor, TensorM,
     TypeMismatch, UnitL, UnitLInv, UnitR, UnitRInv, UnknownName, _box_walk,
-    _boxes, _postorder, chain_c, invert_structural, make_signature,
+    _boxes, _postorder, chain_c, flatten, invert_structural, make_signature,
     typecheck_c,
 )
 from strictcat.strict import (
@@ -18,15 +19,15 @@ from strictcat.strict import (
     normalize_adapters_with_stats, seq_normal_form, typecheck_d,
 )
 from strictcat.functors import (
-    epsilon, eta, nonstrictify, obj_nonstrictify, psi_big, psi_small,
-    strictify_expand, strictify_shallow,
+    epsilon, eta, nonstrictify, obj_nonstrictify, psi_big, psi_big_inv,
+    psi_small, right_nesting, strictify_expand, strictify_shallow,
 )
 from strictcat.finmodel import eval_mor, eval_mor_d, extensional_equal
 from strictcat.render import layout
 from strictcat.coherence import EQUAL, canonical_nat_iso, equal_structural
 from strictcat.generate import (
-    random_bracketing, random_dmor, random_mor, random_obj,
-    random_structural_walk,
+    enumerate_catw_objects, random_bracketing, random_dmor, random_mor,
+    random_obj, random_structural_walk,
 )
 from strictcat.syntax import parse_cmor, show_cmor
 
@@ -170,6 +171,44 @@ def test_psi_big_well_typed_up_to_four_wires(demo_sig, rng):
         dom, cod = typecheck_c(psi_big(x, y), demo_sig)
         assert dom == Tensor(obj_nonstrictify(x), obj_nonstrictify(y))
         assert cod == obj_nonstrictify(x + y)
+
+
+def test_psi_big_inv_cases():
+    assert psi_big_inv((), ()) == UnitLInv(UNIT)
+    assert psi_big_inv((X,), (Y,)) == Id(Tensor(X, Y))
+    assert psi_big_inv((X, Y), ()) == UnitRInv(Tensor(X, Y))
+    assert psi_big_inv((), (Y,)) == UnitLInv(Y)
+    rec = psi_big_inv((X, Y), (Z,))
+    assert rec == Comp(TensorM(Id(X), psi_big_inv((Y,), (Z,))),
+                       Assoc(X, Y, Z))
+
+
+def test_psi_big_inv_inverts_psi_big(demo_sig, demo_model):
+    labels = (X, UNIT, Tensor(Y, Z))
+    seqs = [s for n in range(4) for s in itertools.product(labels, repeat=n)]
+    for x in seqs:
+        for y in seqs:
+            a = Tensor(obj_nonstrictify(x), obj_nonstrictify(y))
+            there = Comp(psi_big(x, y), psi_big_inv(x, y))
+            assert typecheck_c(there, demo_sig) == (a, a)
+            assert eval_mor(there, demo_model) == eval_mor(Id(a), demo_model)
+            b = obj_nonstrictify(x + y)
+            back = Comp(psi_big_inv(x, y), psi_big(x, y))
+            assert typecheck_c(back, demo_sig) == (b, b)
+
+
+def test_right_nesting_types_and_storage(demo_sig):
+    for a in enumerate_catw_objects(4, 2, "x"):
+        rn, inv = right_nesting(a)
+        g = obj_nonstrictify(tuple(Base(n) for n in flatten(a)))
+        assert typecheck_c(rn, demo_sig) == (a, g)
+        assert typecheck_c(inv, demo_sig) == (g, a)
+        if isinstance(a, Tensor):  # stored after the adapter pair
+            assert a.packing[2:] == (rn, inv)
+            assert all(x is y for x, y in zip(right_nesting(a), (rn, inv)))
+        else:
+            assert (rn, inv) == (Id(a), Id(a))
+    assert X.packing is None  # a base label stores nothing
 
 
 def test_psi_small_and_eta():

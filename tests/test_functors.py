@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import sys
 import threading
 
@@ -26,10 +27,11 @@ from strictcat.finmodel import eval_mor, eval_mor_d, extensional_equal
 from strictcat.render import layout
 from strictcat.coherence import EQUAL, canonical_nat_iso, equal_structural
 from strictcat.generate import (
-    enumerate_catw_objects, random_bracketing, random_dmor, random_mor,
-    random_obj, random_structural_walk,
+    enumerate_catw_objects, random_adapter_walk, random_bracketing,
+    random_dmor, random_mor, random_mor_from, random_obj,
+    random_structural_walk,
 )
-from strictcat.syntax import parse_cmor, show_cmor
+from strictcat.syntax import parse_cmor, parse_dmor, show_cmor, show_dmor
 
 from conftest import W, X, Y, Z
 
@@ -378,6 +380,35 @@ def test_normalize_hands_on_the_slices_of_its_output(demo_sig):
     for t, sig in cases():
         nf = normalize_adapters(t, sig)
         assert seq_normal_form(nf, sig) == _snf_walk(nf, sig)
+
+
+def test_diagram_boxes_are_the_boxes_of_the_read_back(demo_sig):
+    # the diagram places each lift's boxes at its offset on base wires,
+    # and so do the typed walk the read-back stores and a full walk of
+    # it; parsed copies hold no facts, and an equal signature that is
+    # another object makes ``_box_walk`` walk every node of the read-back
+    twin = make_signature(demo_sig.base_objects, demo_sig.generators)
+
+    def cases():
+        for seed in range(300):
+            yield random_dmor(demo_sig, 4, seed)
+        for seed in range(100):
+            # a lifted composite after packs, unpacks and unit wires
+            rng = random.Random(seed)
+            start = tuple(random_obj(demo_sig, 3, rng) for _ in range(3))
+            walk = random_adapter_walk(demo_sig, start, 6, rng)
+            _, cod = typecheck_d(walk, demo_sig)
+            if cod:
+                i = rng.randrange(len(cod))
+                f = random_mor_from(demo_sig, cod[i], 4, rng)
+                lift = TensorD(IdD(cod[:i]), TensorD(Lift(f), IdD(cod[i + 1:])))
+                yield CompD(walk, lift)
+
+    for t in cases():
+        t = parse_dmor(show_dmor(t))
+        back = nonstrictify(t, demo_sig)
+        boxes = _diagram(t, demo_sig)[2] or ()
+        assert boxes == _boxes(back, demo_sig)[2] == _box_walk(back, twin)[2]
 
 
 def test_strictify_normalize_read_back_walk_nothing(monkeypatch):

@@ -54,8 +54,9 @@ def _emit(args, payload: dict) -> None:
 
 
 def _parse_wire_arg(text: str):
-    # a '|' means an explicit wire list; a bare object is one wire
-    if "|" in text:
+    # a '|' or '[' means a wire list, ``x|y`` or ``[x|y]`` as printed; a
+    # bare object is one wire
+    if "|" in text or "[" in text:
         return parse_wires(text)
     return (parse_obj(text),)
 

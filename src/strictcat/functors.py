@@ -30,7 +30,7 @@ from .terms import (
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, _expand, _label_packing, seq_normal_form,
+    Wires, _expand, _label_packing, _lift_boxes, seq_normal_form,
 )
 
 
@@ -131,9 +131,9 @@ def nonstrictify(t: MorD, sig: Signature) -> MorC:
     ends = obj_nonstrictify(nf.dom), obj_nonstrictify(nf.cod)
     out = (chain_c(*(_g_slice(s.left, s.gen, s.right) for s in nf.slices))
            if nf.slices else Id(ends[0]))
-    boxes = tuple((sum(x.size for x in s.left) + p, *box)
-                  for s in nf.slices if isinstance(s.gen, Lift)
-                  for p, *box in _box_walk(s.gen.mor, sig)[2])
+    boxes = _lift_boxes(nf.slices, (_box_walk(s.gen.mor, sig)[2]
+                                    for s in nf.slices
+                                    if isinstance(s.gen, Lift)))
     _store(out, (sig, (*ends, boxes), None))
     return out
 

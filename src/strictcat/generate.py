@@ -3,7 +3,7 @@
 Morphisms are generated top-down from a chosen domain, picking only
 moves that typecheck, so every produced term is well typed by
 construction.  A part's ends come from the walks that store nothing
-(``terms._box_walk``, ``strict._records``): a part is a subterm of the
+(``terms._box_walk``, ``strict._record_walk``): a part is a subterm of the
 result, not a root.  All generators are deterministic for a fixed seed.
 """
 
@@ -18,7 +18,7 @@ from .terms import (
 )
 from .strict import (
     CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, _records, canonical_d, chain_d, flatten_wires, make_slice,
+    Wires, _record_walk, canonical_d, chain_d, flatten_wires, make_slice,
     slice_term,
 )
 
@@ -183,7 +183,7 @@ def random_singleton_adapter_term(sig: Signature, start_label: ObjC,
     rng = _rng(seed)
     walk = random_adapter_walk(sig, (start_label,), steps, rng,
                                structural_lifts=structural_lifts)
-    _, cod, _ = _records(walk, sig)
+    _, cod, *_ = _record_walk(walk, sig)
     target = random_bracketing([Base(n) for n in flatten_wires(cod)], rng)
     closing = canonical_d(cod, (target,))
     return CompD(walk, closing)
@@ -219,17 +219,17 @@ def random_dmor(sig: Signature, depth: int, seed=0) -> MorD:
             if rng.random() < 0.5:
                 return walk
             if rng.random() < 0.2:
-                return CompD(walk, IdD(_records(walk, sig)[1]))
+                return CompD(walk, IdD(_record_walk(walk, sig)[1]))
             return lift_onto(walk)
         if roll < 0.7:
             a = go(d - 1)
-            _, mid, _ = _records(a, sig)
+            _, mid, *_ = _record_walk(a, sig)
             walk = random_adapter_walk(sig, mid, rng.randint(1, 2), rng)
             return CompD(a, walk)
         return TensorD(go(d - 1), go(d - 1))
 
     def lift_onto(walk: MorD) -> MorD:
-        _, cod, _ = _records(walk, sig)
+        _, cod, *_ = _record_walk(walk, sig)
         if not cod:
             return walk
         i = rng.randrange(len(cod))

@@ -128,21 +128,22 @@ def typecheck_d(t: MorD, sig: Signature) -> tuple[Wires, Wires]:
     return dom, cod
 
 
-def _gen_ends(g: MorD, sig: Signature) -> tuple[Wires, Wires]:
-    """(dom, cod) wire sequences of one generator node.  A lifted
+def _gen_ends(g: MorD, sig: Signature) -> tuple[Wires, Wires, tuple | None]:
+    """(dom, cod, boxes) of one generator node: a lifted morphism's boxes
+    as ``terms._box_walk`` lists them, None for an adapter.  A lifted
     composite is typechecked by the walk that stores nothing: it is a
     subterm, not the root of a call."""
     if isinstance(g, Lift):
-        d, c, _ = _box_walk(g.mor, sig)
-        return (d,), (c,)
+        d, c, boxes = _box_walk(g.mor, sig)
+        return (d,), (c,), boxes
     if isinstance(g, Pack):
-        return (g.left, g.right), (Tensor(g.left, g.right),)
+        return (g.left, g.right), (Tensor(g.left, g.right),), None
     if isinstance(g, Unpack):
-        return (Tensor(g.left, g.right),), (g.left, g.right)
+        return (Tensor(g.left, g.right),), (g.left, g.right), None
     if isinstance(g, UnitIntro):
-        return (), (UNIT,)
+        return (), (UNIT,), None
     if isinstance(g, UnitElim):
-        return (UNIT,), ()
+        return (UNIT,), (), None
     raise TypeError(g)
 
 
@@ -192,7 +193,7 @@ class SeqNF:
 
 
 def make_slice(left: Wires, gen: MorD, right: Wires, sig: Signature) -> Slice:
-    d, c = _gen_ends(gen, sig)
+    d, c, _ = _gen_ends(gen, sig)
     return Slice(tuple(left), gen, tuple(right), d, c)
 
 
@@ -211,23 +212,16 @@ def seq_normal_form(t: MorD, sig: Signature) -> SeqNF:
 
 
 def _snf_walk(t: MorD, sig: Signature) -> SeqNF:
-    """``seq_normal_form`` by walking ``t``."""
-    dom, _, recs = _records(t, sig)
-    return SeqNF(dom, _slices(recs, dom))
-
-
-def _records(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple]:
-    """Typecheck ``t`` and list its slices as records ``(pos, gen, gen_dom,
-    gen_cod)``: ``gen`` acts on the wires from index ``pos`` on.  The
-    records are a tuple; nothing is stored."""
-    dom, cod, recs, diff, _ = _record_walk(t, sig)
-    return dom, cod, _placed(recs, diff)
+    """``seq_normal_form`` by walking ``t``; nothing is stored."""
+    dom, _, recs, diff, _ = _record_walk(t, sig)
+    return SeqNF(dom, _slices(_placed(recs, diff), dom))
 
 
 def _record_walk(t: MorD, sig: Signature) -> tuple:
-    """``(dom, cod, recs, diff, lifts)``: ``_records(t, sig)`` before
-    ``diff`` places the records (``terms._placed``), and the boxes of each
-    lifted morphism in record order, from the one walk that types it."""
+    """``(dom, cod, recs, diff, lifts)``: the ends of ``t``; its slices as
+    records ``(gen, gen_dom, gen_cod)``, which ``terms._placed(recs, diff)``
+    prefixes with the index of the first wire ``gen`` acts on; and the boxes
+    of each lifted morphism in record order.  Nothing is stored."""
     recs: list = []
     lifts: list = []
     diff = [0]  # one more entry than recs; see ``terms._placed``
@@ -255,12 +249,9 @@ def _record_walk(t: MorD, sig: Signature) -> tuple:
                 diff[k] -= len(c1)
             ends[-1] = d1 + d2, c1 + c2, n
         else:
-            if cls is Lift:
-                d, c, boxes = _box_walk(u.mor, sig)
-                d, c = (d,), (c,)
+            d, c, boxes = _gen_ends(u, sig)
+            if boxes is not None:
                 lifts.append(boxes)
-            else:
-                d, c = _gen_ends(u, sig)
             ends.append((d, c, k))
             recs.append((u, d, c))
             diff.append(0)
@@ -272,7 +263,7 @@ def _record_walk(t: MorD, sig: Signature) -> tuple:
 
 
 def _slices(recs, dom: Wires) -> tuple[Slice, ...]:
-    """Replay records from ``dom``, giving each its identity wires."""
+    """Replay placed records from ``dom``, giving each its identity wires."""
     out = []
     cur = dom
     for pos, gen, d, c in recs:
@@ -289,6 +280,16 @@ def slice_term(s: Slice) -> MorD:
     if s.left:
         out = TensorD(IdD(s.left), out)
     return out
+
+
+def _lift_boxes(slices, lifts) -> tuple:
+    """The boxes of the lifted morphisms of ``slices``, which ``lifts``
+    gives in slice order, each moved past the base wires left of it: the
+    boxes on base wires, as ``terms._boxes`` lists them."""
+    lifts = iter(lifts)
+    return tuple((sum(x.size for x in s.left) + p, *box)
+                 for s in slices if isinstance(s.gen, Lift)
+                 for p, *box in next(lifts))
 
 
 def recompose(slices, dom: Wires) -> MorD:
@@ -507,26 +508,14 @@ def _diagram(t: MorD, sig: Signature) -> tuple[Wires, Wires, tuple | None, int]:
 
 def _diagram_walk(t: MorD, sig: Signature) -> tuple:
     """``(dom, cod, boxes, adapters)`` of ``t``: its ends; the generator
-    boxes of its records replayed from ``dom``, on base wires as
-    ``terms._boxes`` lists them (each lifted morphism gives its own, from
-    the walk that typechecked it), or ``None`` when no lifted morphism has
-    a generator; and its number of adapter records."""
+    boxes of its slices on base wires (``_lift_boxes``), or ``None`` when
+    no lifted morphism has a generator; and its number of adapter records."""
     dom, cod, recs, diff, lifts = _record_walk(t, sig)
     adapters = len(recs) - len(lifts)
     if not any(lifts):
         return dom, cod, None, adapters
-    lifted = iter(lifts)
-    widths = [x.size for x in dom]
-    boxes: list = []
-    for pos, gen, d, c in _placed(recs, diff):
-        if isinstance(gen, Lift):
-            at = sum(widths[:pos])
-            boxes += [(at + p, name, i, o) for p, name, i, o in next(lifted)]
-        if isinstance(gen, Pack):
-            widths[pos:pos + 2] = [widths[pos] + widths[pos + 1]]
-        else:
-            widths[pos:pos + len(d)] = [x.size for x in c]
-    return dom, cod, tuple(boxes), adapters
+    slices = _slices(_placed(recs, diff), dom)
+    return dom, cod, _lift_boxes(slices, lifts), adapters
 
 
 def _packing_items(x: Wires, up: bool, at: int, out: list) -> None:

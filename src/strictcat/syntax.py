@@ -258,6 +258,10 @@ def parse_dmor(text: str) -> MorD:
 
 
 def parse_wires(text: str) -> Wires:
+    """``A|B|...``, or ``[A|B|...]`` as ``strict.show_wires`` prints it,
+    read as the wires of ``idD[A|B|...]`` are."""
+    if text.lstrip().startswith("["):
+        return _run(text, _args, None)
     return _run(text, _wires, ("]", ""))
 
 

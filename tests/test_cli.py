@@ -89,6 +89,27 @@ def test_a_term_that_names_a_base_needs_its_signature(sig_path, capsys):
     assert out == "output: alpha[x,y,z]\n"
 
 
+def test_canonical_reads_printed_wire_sequences():
+    # ``typecheck --dterm`` prints wire sequences as ``[x|y]`` and ``[]``
+    assert run_cli("canonical", "[]", "I") == (0, "output: unit+\n")
+    assert run_cli("canonical", "[x|y]", "(x * y)") == (
+        run_cli("canonical", "x|y", "(x * y)"))
+
+
+@pytest.mark.parametrize("term", ["unit+ (*) idD[x|y] ; pack[I,x] (*) idD[y]",
+                                  "unit-"])
+def test_canonical_reads_the_ends_typecheck_prints(term, sig_path):
+    def report(*argv):
+        code, out = run_cli("--json", *argv)
+        assert code == 0
+        return json.loads(out)
+
+    ends = report("typecheck", "--dterm", "--sig", sig_path, term)
+    arrow = report("canonical", ends["dom"], ends["cod"])["output"]
+    again = report("typecheck", "--dterm", "--sig", sig_path, arrow)
+    assert (again["dom"], again["cod"]) == (ends["dom"], ends["cod"])
+
+
 @pytest.mark.parametrize("argv", [("parse", "id[I]"),
                                   ("canonical", "W", "W")])
 def test_commands_that_read_no_signature_take_no_sig(argv, sig_path):

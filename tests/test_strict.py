@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
-    UNIT, Base, Comp, Gen, Id, Tensor, TypeMismatch, UnknownName,
+    UNIT, Base, Comp, Gen, Id, Tensor, TypeMismatch, UnknownName, _placed,
 )
 from strictcat import demos, strict
 from strictcat.strict import (
@@ -12,7 +12,7 @@ from strictcat.strict import (
     UnitElim, UnitIntro, Unpack, canonical_d, chain_d,
     flatten_wires, invert_d, normalize_adapters,
     normalize_adapters_with_stats, pack_obj, recompose, seq_normal_form,
-    typecheck_d, unpack_obj, _diagram, _records,
+    typecheck_d, unpack_obj, _diagram, _record_walk,
 )
 from strictcat.finmodel import eval_mor_d, extensional_equal
 from strictcat.functors import nonstrictify, strictify_expand
@@ -497,6 +497,11 @@ def test_records_memo_raises_again_on_an_ill_typed_root(demo_sig):
         TypeMismatch,
         "type mismatch at root.right: [(x * y)] composed against [x|y]",
         "root.right")
+
+
+def _records(t, sig):
+    dom, cod, recs, diff, _ = _record_walk(t, sig)
+    return dom, cod, _placed(recs, diff)
 
 
 def test_records_memo_returns_records_no_caller_can_change(demo_sig):

@@ -70,6 +70,8 @@ def test_parse_dmor_atoms():
 def test_parse_wires():
     assert parse_wires("W|I") == (W, UNIT)
     assert parse_wires("") == ()
+    assert parse_wires(" [W|I]") == (W, UNIT)
+    assert parse_wires("[]") == ()
 
 
 def test_round_trip_cmor(demo_sig):

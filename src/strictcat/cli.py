@@ -21,7 +21,7 @@ from .strict import (
     normalize_adapters_with_stats, show_wires, typecheck_d,
 )
 from .syntax import (
-    parse_cmor, parse_dmor, parse_model_config, parse_obj, parse_signature,
+    parse_cmor, parse_dmor, parse_model_config, parse_signature,
     parse_wires, show_cmor, show_dmor, show_obj,
 )
 from .terms import Signature, TermError, make_signature, typecheck_c
@@ -51,14 +51,6 @@ def _emit(args, payload: dict) -> None:
             print(f"{key}: {payload[key]}")
     for line in payload.get("trace", ()):
         print(f"  {line}")
-
-
-def _parse_wire_arg(text: str):
-    # a '|' or '[' means a wire list, ``x|y`` or ``[x|y]`` as printed; a
-    # bare object is one wire
-    if "|" in text or "[" in text:
-        return parse_wires(text)
-    return (parse_obj(text),)
 
 
 def cmd_parse(args) -> dict:
@@ -115,9 +107,7 @@ def cmd_normalize(args) -> dict:
 
 
 def cmd_canonical(args) -> dict:
-    wires_a = _parse_wire_arg(args.obj_a)
-    wires_b = _parse_wire_arg(args.obj_b)
-    out = canonical_d(wires_a, wires_b)
+    out = canonical_d(parse_wires(args.obj_a), parse_wires(args.obj_b))
     return {"command": "canonical",
             "input": f"{args.obj_a} -> {args.obj_b}",
             "output": show_dmor(out)}

@@ -258,8 +258,7 @@ def parse_dmor(text: str) -> MorD:
 
 
 def parse_wires(text: str) -> Wires:
-    """``A|B|...``, or ``[A|B|...]`` as ``strict.show_wires`` prints it,
-    read as the wires of ``idD[A|B|...]`` are."""
+    """``A|B|...``, or ``[A|B|...]`` as in ``idD[...]`` and ``show_wires``."""
     if text.lstrip().startswith("["):
         return _run(text, _args, None)
     return _run(text, _wires, ("]", ""))

@@ -1,17 +1,19 @@
+import hashlib
 from collections import Counter
 
 from strictcat.terms import (
-    Assoc, AssocInv, Comp, Gen, Id, TensorM, UnitL, UnitLInv, UnitR,
-    UnitRInv, Unit, Base, Tensor, typecheck_c,
+    UNIT, Assoc, AssocInv, Comp, Gen, Id, TensorM, UnitL, UnitLInv, UnitR,
+    UnitRInv, Unit, Base, Tensor, show_obj, typecheck_c,
 )
-from strictcat.syntax import show_cmor
+from strictcat.syntax import show_cmor, show_dmor
 from strictcat.strict import CompD, Lift, TensorD, typecheck_d
 from strictcat.generate import (
-    enumerate_catw_objects, random_adapter_walk, random_dmor, random_mor,
-    random_obj, random_structural_walk,
+    enumerate_catw_objects, random_adapter_walk, random_bracketing,
+    random_dmor, random_mor, random_mor_from, random_obj,
+    random_singleton_adapter_term, random_structural_walk,
 )
 
-from conftest import W
+from conftest import W, X, Y, Z
 
 
 def _constructors(f):
@@ -153,3 +155,31 @@ def test_generators_store_no_facts_on_subterms(demo_sig):
                   random_dmor(demo_sig, 4, seed)):
             assert all(getattr(u, "facts", None) is None
                        for u in _composites(t))
+
+
+def test_generator_outputs_pinned(demo_sig):
+    # every generated test input over fixed seeds, printed; a change to
+    # any generator's draws changes the digest
+    lines = []
+    for seed in range(40):
+        lines += [
+            show_obj(random_obj(demo_sig, 4, seed)),
+            show_cmor(random_mor(demo_sig, 5, seed)),
+            show_cmor(random_mor(demo_sig, 5, seed, structural_only=True)),
+            show_cmor(random_mor_from(demo_sig, Tensor(X, Tensor(UNIT, Y)),
+                                      4, seed)),
+            show_dmor(random_dmor(demo_sig, 4, seed)),
+            show_cmor(random_structural_walk(Tensor(W, Tensor(W, UNIT)), 6,
+                                             seed)),
+            show_dmor(random_adapter_walk(demo_sig, (X, Tensor(Y, Z)), 5,
+                                          seed)),
+            show_dmor(random_adapter_walk(demo_sig, (X, Tensor(Y, Z)), 5,
+                                          seed, structural_lifts=True)),
+            show_dmor(random_singleton_adapter_term(
+                demo_sig, Tensor(X, Tensor(Y, Z)), 4, seed)),
+            show_obj(random_bracketing([X, Y, Z], seed, unit_budget=2)),
+        ]
+    lines += map(show_obj, enumerate_catw_objects(3, 2))
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == (
+        "27c6eca974ce4eee089e2e2eca2cc4c711b05cf1d1705346130cd7a6165a32af")

@@ -31,10 +31,6 @@ from .finmodel import (
     Atom, DomainMismatch, Element, FinModel, Pair, UnitElem, eval_mor,
     eval_mor_d, eval_obj, extensional_equal,
 )
-from .generate import (
-    enumerate_catw_objects, random_adapter_walk, random_dmor, random_mor,
-    random_mor_from, random_obj, random_structural_walk,
-)
 from .render import DiagramLayout, emit_dot, emit_svg, layout
 
 __version__ = "0.1.0"

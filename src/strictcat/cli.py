@@ -3,7 +3,8 @@
 Every subcommand is a thin wrapper over one library call; ``--json``
 switches the output to a stable object with the keys ``command``,
 ``input``, ``output`` and optionally ``trace`` / ``verdict``.  Exit code
-0 on success, 2 on any parse, type or precondition error.
+0 on success, 2 on any parse, type or precondition error and on a file
+that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def cmd_render(args) -> dict:
 def cmd_demo(args) -> dict:
     if args.name != "parity":
         raise TermError(f"unknown demo {args.name!r}")
+    if args.n < 1:
+        raise TermError(f"parity needs at least one bit, got --n {args.n}")
     term = demos.parity_term(args.n)
     sig = demos.parity_signature()
     payload = {"command": "demo", "input": f"parity {args.n}",
@@ -229,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.fn(args)
-    except TermError as err:
+    except (TermError, OSError) as err:
         if args.json:
             print(json.dumps({"command": args.command, "error": str(err)},
                              indent=2, sort_keys=True))

@@ -192,11 +192,6 @@ class SeqNF:
         return self.slices[-1].cod if self.slices else self.dom
 
 
-def make_slice(left: Wires, gen: MorD, right: Wires, sig: Signature) -> Slice:
-    d, c, _ = _gen_ends(gen, sig)
-    return Slice(tuple(left), gen, tuple(right), d, c)
-
-
 def seq_normal_form(t: MorD, sig: Signature) -> SeqNF:
     """Factor ``t`` into slices.
 

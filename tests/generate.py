@@ -1,4 +1,4 @@
-"""Seeded random generators for objects and morphism terms.
+"""Seeded random generators of test inputs: objects and morphism terms.
 
 Morphisms are generated top-down from a chosen domain, picking only
 moves that typecheck, so every produced term is well typed by
@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import random
 
-from .terms import (
+from strictcat.terms import (
     UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, MorC, ObjC, Signature,
     Tensor, TensorM, UnitL, UnitLInv, UnitR, UnitRInv, Unit, _box_walk,
     flatten,
 )
-from .strict import (
-    CompD, IdD, Lift, MorD, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    Wires, _record_walk, canonical_d, chain_d, flatten_wires, make_slice,
-    slice_term,
+from strictcat.strict import (
+    CompD, IdD, Lift, MorD, Pack, Slice, TensorD, UnitElim, UnitIntro,
+    Unpack, Wires, _gen_ends, _record_walk, canonical_d, chain_d,
+    flatten_wires, slice_term,
 )
 
 
@@ -136,6 +136,12 @@ def _nth_move(x: ObjC, k: int) -> MorC:
 
 # ---------------------------------------------------------------------------
 # Strict-category generators
+
+def make_slice(left: Wires, gen: MorD, right: Wires, sig: Signature) -> Slice:
+    """``gen`` placed between the wires ``left`` and ``right``."""
+    d, c, _ = _gen_ends(gen, sig)
+    return Slice(tuple(left), gen, tuple(right), d, c)
+
 
 def adapter_moves(wires: Wires) -> list[tuple[int, MorD, int]]:
     """Every adapter slice applicable to the interface ``wires``, as

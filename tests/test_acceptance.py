@@ -14,7 +14,7 @@ from strictcat.terms import (
 )
 from strictcat.strict import (
     CompD, IdD, Lift, Pack, TensorD, UnitElim, UnitIntro, Unpack,
-    canonical_d, chain_d, invert_d, make_slice, normalize_adapters,
+    canonical_d, chain_d, invert_d, normalize_adapters,
     normalize_adapters_with_stats, recompose, seq_normal_form, slice_term,
     typecheck_d,
 )
@@ -26,15 +26,15 @@ from strictcat.finmodel import (
     FinModel, Pair, UNIT_ELEM, eval_mor, eval_mor_d, eval_obj,
     extensional_equal,
 )
-from strictcat.generate import (
-    enumerate_catw_objects, random_adapter_walk, random_dmor, random_mor,
-    random_mor_from, random_obj, random_singleton_adapter_term,
-    random_structural_walk,
-)
 from strictcat.render import layout
 from strictcat.syntax import parse_cmor, parse_dmor, show_cmor, show_dmor
 from strictcat import demos
 
+from generate import (
+    enumerate_catw_objects, make_slice, random_adapter_walk, random_dmor,
+    random_mor, random_mor_from, random_obj, random_singleton_adapter_term,
+    random_structural_walk,
+)
 from conftest import W
 
 

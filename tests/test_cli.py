@@ -211,6 +211,22 @@ def test_signature_error_placed_in_the_file(tmp_path):
     assert json.loads(out)["error"] == "2:24: trailing input after generator type"
 
 
+@pytest.mark.parametrize("argv", [
+    ("normalize", "--sig", "{missing}", "idD[]"),
+    ("equal", "--model", "{missing}", "id[I]", "id[I]"),
+    ("render", "--out", "{missing}/x.svg", "idD[]"),
+    ("demo", "parity", "--n", "0"),
+])
+def test_unreadable_files_and_bad_sizes_exit_2(argv, tmp_path, capsys):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, out = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+    code, out = run_cli("--json", *argv)
+    assert code == 2
+    assert set(json.loads(out)) == {"command", "error"}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "strictcat.cli", "parse", "id[I]"],

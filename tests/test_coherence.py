@@ -23,14 +23,14 @@ from strictcat.functors import nonstrictify, strictify_expand
 from strictcat.finmodel import (
     FinModel, eval_mor, eval_mor_d, extensional_equal,
 )
-from strictcat.generate import (
+from strictcat.render import emit_svg, layout
+from strictcat.syntax import parse_cmor, show_cmor, show_dmor
+
+from generate import (
     enumerate_catw_objects, random_adapter_walk, random_dmor, random_mor,
     random_mor_from, random_obj, random_singleton_adapter_term,
     random_structural_walk,
 )
-from strictcat.render import emit_svg, layout
-from strictcat.syntax import parse_cmor, show_cmor, show_dmor
-
 from conftest import W, X, Y, Z
 
 
@@ -214,7 +214,7 @@ def test_parallel_structural_pairs_equal_and_oracle_agrees(
 
 def test_canonical_arrows_compose_and_tensor_canonically(catw_sig, rng):
     from strictcat.strict import CompD, TensorD, normalize_adapters
-    from strictcat.generate import random_bracketing, random_adapter_walk
+    from generate import random_bracketing, random_adapter_walk
     from strictcat.strict import typecheck_d
 
     def endpoints(seed_steps):

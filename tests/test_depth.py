@@ -16,7 +16,6 @@ from strictcat import demos
 from strictcat.coherence import EQUAL, equal_structural
 from strictcat.finmodel import FinModel, eval_mor
 from strictcat.functors import nonstrictify, strictify_expand
-from strictcat.generate import random_adapter_walk
 from strictcat.render import layout
 from strictcat.strict import (
     CompD, IdD, Pack, Unpack, _snf_walk, canonical_d, chain_d, invert_d,
@@ -28,6 +27,7 @@ from strictcat.terms import (
     make_signature, show_obj, typecheck_c,
 )
 
+from generate import random_adapter_walk
 from conftest import X, Y
 
 SIG = make_signature(["x", "y"], {"f": (X, Y)})

@@ -13,8 +13,8 @@ from strictcat.finmodel import (
     Atom, DomainMismatch, FinModel, Pair, UNIT_ELEM, eval_mor, eval_mor_d,
     eval_obj, extensional_equal,
 )
-from strictcat.generate import random_structural_walk
 
+from generate import random_structural_walk
 from conftest import W, X, Y, Z
 
 

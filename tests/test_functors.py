@@ -26,13 +26,13 @@ from strictcat.functors import (
 from strictcat.finmodel import eval_mor, eval_mor_d, extensional_equal
 from strictcat.render import layout
 from strictcat.coherence import EQUAL, canonical_nat_iso, equal_structural
-from strictcat.generate import (
+from strictcat.syntax import parse_cmor, parse_dmor, show_cmor, show_dmor
+
+from generate import (
     enumerate_catw_objects, random_adapter_walk, random_bracketing,
     random_dmor, random_mor, random_mor_from, random_obj,
     random_structural_walk,
 )
-from strictcat.syntax import parse_cmor, parse_dmor, show_cmor, show_dmor
-
 from conftest import W, X, Y, Z
 
 

@@ -7,12 +7,12 @@ from strictcat.terms import (
 )
 from strictcat.syntax import show_cmor, show_dmor
 from strictcat.strict import CompD, Lift, TensorD, typecheck_d
-from strictcat.generate import (
+
+from generate import (
     enumerate_catw_objects, random_adapter_walk, random_bracketing,
     random_dmor, random_mor, random_mor_from, random_obj,
     random_singleton_adapter_term, random_structural_walk,
 )
-
 from conftest import W, X, Y, Z
 
 

@@ -3,9 +3,9 @@ import hashlib
 from strictcat.strict import IdD, Pack, normalize_adapters
 from strictcat.render import emit_dot, emit_svg, layout
 from strictcat.functors import strictify_expand
-from strictcat.generate import random_dmor, random_mor
 from strictcat import demos
 
+from generate import random_dmor, random_mor
 from conftest import X, Y
 
 

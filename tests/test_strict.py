@@ -16,12 +16,11 @@ from strictcat.strict import (
 )
 from strictcat.finmodel import eval_mor_d, extensional_equal
 from strictcat.functors import nonstrictify, strictify_expand
-from strictcat.generate import (
-    enumerate_catw_objects, random_adapter_walk, random_dmor, random_obj,
-)
-
 from strictcat.syntax import parse_dmor, show_dmor
 
+from generate import (
+    enumerate_catw_objects, random_adapter_walk, random_dmor, random_obj,
+)
 from conftest import W, X, Y, Z, with_undeclared_base
 
 

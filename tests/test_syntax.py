@@ -16,8 +16,8 @@ from strictcat.syntax import (
     ParseError, parse_cmor, parse_dmor, parse_model_config, parse_obj,
     parse_signature, parse_wires, show_cmor, show_dmor, show_signature,
 )
-from strictcat.generate import random_dmor, random_mor
 
+from generate import random_dmor, random_mor
 from conftest import W
 
 

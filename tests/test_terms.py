@@ -21,9 +21,9 @@ from strictcat.strict import (
 )
 from strictcat.functors import strictify_expand
 from strictcat.finmodel import FinModel, eval_mor
-from strictcat.generate import random_dmor, random_mor, random_obj
 from strictcat.syntax import parse_cmor, show_cmor
 
+from generate import random_dmor, random_mor, random_obj
 from conftest import W, X, Y, Z, with_undeclared_base
 
 

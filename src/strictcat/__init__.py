@@ -13,11 +13,10 @@ from .terms import (
     make_signature, objsize, substitute, typecheck_c,
 )
 from .strict import (
-    CompD, FlatteningMismatch, IdD, Lift, MorD, NotInvertible, Pack,
-    RewriteBudgetExceeded, SeqNF, Slice, TensorD, UnitElim, UnitIntro,
-    Unpack, canonical_d, chain_d, invert_d, normalize_adapters,
-    normalize_adapters_with_stats, pack_obj, recompose, seq_normal_form,
-    typecheck_d, unpack_obj,
+    CompD, FlatteningMismatch, IdD, Lift, MorD, NotInvertible, Pack, SeqNF,
+    Slice, TensorD, UnitElim, UnitIntro, Unpack, canonical_d, chain_d,
+    invert_d, normalize_adapters, normalize_adapters_with_stats, pack_obj,
+    recompose, seq_normal_form, typecheck_d, unpack_obj,
 )
 from .functors import (
     epsilon, eta, nonstrictify, obj_nonstrictify, psi_big, psi_big_inv,

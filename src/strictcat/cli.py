@@ -3,14 +3,16 @@
 Every subcommand is a thin wrapper over one library call; ``--json``
 switches the output to a stable object with the keys ``command``,
 ``input``, ``output`` and optionally ``trace`` / ``verdict``.  Exit code
-0 on success, 2 on any parse, type or precondition error and on a file
-that cannot be read or written.
+0 on success, 2 on any parse, type or precondition error, on a file
+that cannot be read, decoded or written, and on a reader that closes the
+output early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import demos
@@ -101,7 +103,7 @@ def cmd_nonstrictify(args) -> dict:
 def cmd_normalize(args) -> dict:
     sig = _load_signature(args.sig)
     term = parse_dmor(args.term)
-    out, stats = normalize_adapters_with_stats(term, sig, args.max_steps)
+    out, stats = normalize_adapters_with_stats(term, sig)
     return {"command": "normalize", "input": args.term,
             "output": show_dmor(out), "trace": list(stats.trace),
             "cancelled_pairs": stats.cancelled_pairs}
@@ -142,8 +144,6 @@ def cmd_render(args) -> dict:
 
 
 def cmd_demo(args) -> dict:
-    if args.name != "parity":
-        raise TermError(f"unknown demo {args.name!r}")
     if args.n < 1:
         raise TermError(f"parity needs at least one bit, got --n {args.n}")
     term = demos.parity_term(args.n)
@@ -192,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="normal form, read from the diagram")
     with_sig(p)
-    p.add_argument("--max-steps", type=int, default=None,
-                   help="bound the exchanges and cancellations made on "
-                        "lift-bearing terms")
     p.add_argument("term")
     p.set_defaults(fn=cmd_normalize)
 
@@ -231,16 +228,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.fn(args)
-    except (TermError, OSError) as err:
-        if args.json:
-            print(json.dumps({"command": args.command, "error": str(err)},
-                             indent=2, sort_keys=True))
-        else:
+        payload, code = args.fn(args), 0
+    except (TermError, OSError, UnicodeDecodeError) as err:
+        if not args.json:
             print(f"error: {err}", file=sys.stderr)
+            return 2
+        payload, code = {"command": args.command, "error": str(err)}, 2
+    try:
+        _emit(args, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes nowhere, so the
+        # flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    _emit(args, payload)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

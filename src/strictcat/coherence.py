@@ -21,7 +21,8 @@ in the underlying category directly, by induction on each filled label
 Verdicts are sound but not complete: where a generator has no output
 wire (``y -> I``, or a scalar ``I -> I``), equal diagrams can reach
 different left normal forms, so differing forms give "unknown" unless a
-finite model is supplied.
+supplied finite model tells the terms apart.  A model can refute
+equality but never prove it.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def equal_structural(f: MorC, g: MorC, sig: Signature,
     Both terms are read as diagrams of generator boxes on base wires.
     Different endpoints give "not equal"; box lists with the same left
     normal form give "equal" (for structural pairs both lists are
-    empty).  Otherwise a supplied model decides extensionally, and
-    without one the verdict is unknown.
+    empty).  Otherwise a supplied model can tell them apart; one in
+    which they agree proves nothing, so the verdict is then unknown.
     """
     df, cf, bf = _boxes(f, sig)
     dg, cg, bg = _boxes(g, sig)
@@ -81,9 +82,10 @@ def equal_structural(f: MorC, g: MorC, sig: Signature,
     if left_normal_form(bf)[0] == left_normal_form(bg)[0]:
         return EqVerdict(EQUAL, "identical flattened diagrams")
     if model is not None:
-        if extensional_equal(eval_mor(f, model), eval_mor(g, model)):
-            return EqVerdict(EQUAL, "extensionally equal in supplied model")
-        return EqVerdict(NOT_EQUAL, "distinguished by supplied model")
+        if not extensional_equal(eval_mor(f, model), eval_mor(g, model)):
+            return EqVerdict(NOT_EQUAL, "distinguished by supplied model")
+        return EqVerdict(UNKNOWN, "left normal forms differ; terms agree "
+                                  "in supplied model")
     return EqVerdict(UNKNOWN, "left normal forms differ; no model given")
 
 

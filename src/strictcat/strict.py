@@ -47,10 +47,6 @@ class FlatteningMismatch(TermError):
     pass
 
 
-class RewriteBudgetExceeded(TermError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Morphism terms
 
@@ -168,10 +164,6 @@ class Slice:
     right: Wires
     gen_dom: Wires
     gen_cod: Wires
-
-    @property
-    def dom(self) -> Wires:
-        return self.left + self.gen_dom + self.right
 
     @property
     def cod(self) -> Wires:
@@ -452,11 +444,9 @@ def _expand(f: MorC, sig: Signature) -> tuple[MorD, ObjC, ObjC, int]:
     return out[0]
 
 
-def left_normal_form(items, cancels=None, max_steps: int | None = None,
-                     steps: int = 0) -> tuple[list, int]:
-    """``items`` after left exchanges until none applies, and ``steps``
-    plus the steps taken: exchanges and cancellations, at most
-    ``max_steps`` in all, or ``RewriteBudgetExceeded`` is raised.
+def left_normal_form(items, cancels=None) -> tuple[list, int]:
+    """``items`` after left exchanges until none applies, and the steps
+    taken: exchanges and cancellations.
 
     An item ``(offset, payload, n_in, n_out)`` takes ``n_in`` wires from
     ``offset`` on and puts ``n_out`` in their place.  A left exchange
@@ -471,6 +461,7 @@ def left_normal_form(items, cancels=None, max_steps: int | None = None,
     canonical order, so it stays as it is.
     """
     out: list = []
+    steps = 0
     for item in items:
         p2, x2, i2, o2 = item
         j, cancel = len(out), False
@@ -480,8 +471,6 @@ def left_normal_form(items, cancels=None, max_steps: int | None = None,
             if not cancel and (p2 + i2 > p1 or
                                (p2 + i2 == p1 and i1 == 0 and o2 == 0)):
                 break
-            if max_steps is not None and steps >= max_steps:
-                raise RewriteBudgetExceeded("rewrite step budget exhausted")
             steps += 1
             if cancel:
                 del out[j - 1]
@@ -559,15 +548,12 @@ def _read_back(dom: Wires, cod: Wires, boxes, sig: Signature) -> list:
     return items
 
 
-def normalize_adapters(t: MorD, sig: Signature,
-                       max_steps: int | None = None) -> MorD:
-    term, _ = normalize_adapters_with_stats(t, sig, max_steps)
-    return term
+def normalize_adapters(t: MorD, sig: Signature) -> MorD:
+    return normalize_adapters_with_stats(t, sig)[0]
 
 
-def normalize_adapters_with_stats(
-        t: MorD, sig: Signature,
-        max_steps: int | None = None) -> tuple[MorD, RewriteStats]:
+def normalize_adapters_with_stats(t: MorD,
+                                  sig: Signature) -> tuple[MorD, RewriteStats]:
     """Normalise ``t`` to a function of its endpoints and its diagram.
 
     A term with no lifted generator is presented canonically, without
@@ -576,19 +562,17 @@ def normalize_adapters_with_stats(
     allows.  Any other term is read back from the left normal form of its
     boxes on base wires, the one ``equal_structural`` compares, and one
     more left insertion cancels inverse adapters it brings together.
-    ``max_steps`` bounds the exchanges and cancellations of both passes.
     The output's slices are stored on it as its ``seq_normal_form``.
     """
     stats = RewriteStats()
     dom, cod, boxes, adapters = _diagram(t, sig)
     if boxes is not None:
-        boxes, steps = left_normal_form(boxes, None, max_steps)
+        boxes, swaps = left_normal_form(boxes)
         items = _read_back(dom, cod, boxes, sig)
         # items met at one offset compose, so their types decide a cancel
         out, steps = left_normal_form(
-            items, lambda a, b: _INVERSE.get(type(a[0])) is type(b[0]),
-            max_steps, steps)
-        stats.swaps = steps - (len(items) - len(out)) // 2
+            items, lambda a, b: _INVERSE.get(type(a[0])) is type(b[0]))
+        stats.swaps = swaps + steps - (len(items) - len(out)) // 2
         stats.cancelled_pairs = max(adapters + len(boxes) - len(out), 0) // 2
         stats.events = boxes
         slices = _slices([(p, *x) for p, x, _, _ in out], dom)

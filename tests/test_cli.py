@@ -48,6 +48,18 @@ def test_typecheck_error_exit_code(sig_path, capsys):
     assert code == 2
 
 
+def test_parse_dterm_command():
+    term = "lift(alpha[x,y,z]) ; unpack[x,(y * z)]"
+    assert run_cli("parse", "--dterm", term) == (0, f"output: {term}\n")
+
+
+def test_strictify_is_shallow_by_default(sig_path):
+    code, out = run_cli("--json", "strictify", "--sig", sig_path, "f (*) g")
+    assert code == 0
+    assert json.loads(out) == {"command": "strictify", "input": "f (*) g",
+                               "mode": "shallow", "output": "lift(f (*) g)"}
+
+
 def test_strictify_and_nonstrictify_round(sig_path):
     code, out = run_cli("strictify", "--sig", sig_path, "--mode", "expand",
                         "f (*) g")
@@ -225,6 +237,48 @@ def test_unreadable_files_and_bad_sizes_exit_2(argv, tmp_path, capsys):
     code, out = run_cli("--json", *argv)
     assert code == 2
     assert set(json.loads(out)) == {"command", "error"}
+
+
+@pytest.mark.parametrize("flag, content, error", [
+    ("--sig", b"obj x\ngen f : x -> x\ngen f : x -> x\n",
+     "duplicate generator 'f'"),
+    ("--sig", b"obj x\nmor f : x -> x\n", "expected 'obj NAME'"),
+    ("--sig", b"\xff\xfe", "can't decode"),
+    ("--model", b"x 2\n", "expected key=value"),
+    ("--model", b"q=2\n", "undeclared base 'q'"),
+    ("--model", b"x=0\n", "must be nonempty"),
+    ("--model", b"\xff\xfe", "can't decode"),
+])
+def test_bad_signature_and_model_files_exit_2(flag, content, error, tmp_path,
+                                              sig_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    if flag == "--sig":
+        argv = ["equal", "--sig", str(bad), "id[x]", "id[x]"]
+    else:
+        argv = ["equal", "--sig", sig_path, "--model", str(bad), "id[x]",
+                "id[x]"]
+    code, out = run_cli(*argv)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err
+    code, out = run_cli("--json", *argv)
+    assert code == 2
+    data = json.loads(out)
+    assert set(data) == {"command", "error"} and error in data["error"]
+
+
+def test_closed_output_pipe_exits_2_without_a_traceback():
+    # the output is far larger than a pipe holds, so writing it meets the
+    # closed end
+    with subprocess.Popen(
+            [sys.executable, "-m", "strictcat.cli", "demo", "parity",
+             "--n", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"output: un"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        assert proc.stderr.read() == b""
 
 
 def test_console_entry_point_runs():

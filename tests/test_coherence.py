@@ -99,9 +99,25 @@ def test_equal_structural_model_decides(demo_sig, demo_model):
     same = equal_structural(Gen("p"), Gen("p"), two, model)
     assert same.kind == EQUAL
     differs = equal_structural(Gen("p"), Gen("q"), two, model)
-    assert differs.kind in (EQUAL, NOT_EQUAL)  # decided either way
+    assert differs.kind in (UNKNOWN, NOT_EQUAL)  # a model never proves
     # with this seed the tables differ
     assert differs.kind == NOT_EQUAL
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_model_refutes_but_never_proves(seed):
+    two = make_signature(["x"], {"p": (X, X), "q": (X, X)})
+    # one point: every map x -> x is the identity, so p and q agree
+    verdict = equal_structural(Gen("p"), Gen("q"), two,
+                               FinModel(two, {"x": 1}, seed=seed))
+    assert verdict.kind == UNKNOWN
+    assert "agree in supplied model" in verdict.detail
+    # I has one point, so no model tells two scalars apart
+    model = FinModel(SCALAR_SIG, {"x": 2, "y": 3}, seed=seed)
+    for a, b in (("s", "t"), ("s ; t", "t ; s")):
+        verdict = equal_structural(parse_cmor(a), parse_cmor(b),
+                                   SCALAR_SIG, model)
+        assert verdict.kind == UNKNOWN
 
 
 def test_equal_structural_is_an_equivalence(catw_sig, rng):

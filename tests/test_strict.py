@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictcat.terms import (
-    UNIT, Base, Comp, Gen, Id, Tensor, TypeMismatch, UnknownName, _placed,
+    UNIT, Assoc, AssocInv, Base, Comp, Gen, Id, Tensor, TypeMismatch,
+    UnknownName, _placed,
 )
 from strictcat import demos, strict
 from strictcat.strict import (
-    CompD, IdD, Lift, NotInvertible, Pack, RewriteBudgetExceeded, TensorD,
+    CompD, IdD, Lift, NotInvertible, Pack, TensorD,
     UnitElim, UnitIntro, Unpack, canonical_d, chain_d,
     flatten_wires, invert_d, normalize_adapters,
     normalize_adapters_with_stats, pack_obj, recompose, seq_normal_form,
@@ -188,6 +189,12 @@ def test_invert_composition_reverses():
     assert invert_d(CompD(f, g)) == CompD(invert_d(g), invert_d(f))
 
 
+def test_invert_lifts_the_inverse_structural_morphism():
+    xyz = (Tensor(X, Tensor(Y, Z)),)
+    t = CompD(Lift(Assoc(X, Y, Z)), unpack_obj(xyz))
+    assert invert_d(t) == CompD(pack_obj(xyz), Lift(AssocInv(X, Y, Z)))
+
+
 def test_invert_rejects_generators():
     with pytest.raises(NotInvertible):
         invert_d(Lift(Gen("f")))
@@ -344,30 +351,26 @@ def test_normalize_rejects_ill_typed_lift(demo_sig):
     assert str(err.value) == str(direct.value)
 
 
-def test_normalize_budget_is_enforced(demo_sig):
+def test_normalize_exchanges_then_cancels(demo_sig):
     # three steps: lift(g) exchanges left of lift(h) among the boxes; in the
     # read-back it exchanges left of the unpack of the domain, which then
     # meets the pack before lift(h) and cancels with it
     t = CompD(TensorD(IdD((Y,)), Lift(Gen("h"))),
               TensorD(Lift(Gen("g")), IdD((Z,))))
-    for budget in (1, 2):
-        with pytest.raises(RewriteBudgetExceeded):
-            normalize_adapters(t, demo_sig, max_steps=budget)
-    out, stats = normalize_adapters_with_stats(t, demo_sig, max_steps=3)
+    out, stats = normalize_adapters_with_stats(t, demo_sig)
     assert (stats.cancelled_pairs, stats.swaps) == (0, 2)
     assert out == CompD(TensorD(Lift(Gen("g")), IdD((Tensor(X, Y),))),
                         TensorD(IdD((Z,)), Lift(Gen("h"))))
 
 
-def test_normalize_adapter_only_ignores_budget(catw_sig, rng):
-    # an adapter-only term is presented without rewriting, so no budget
-    # can run out on it
+def test_normalize_adapter_only_is_not_rewritten(catw_sig, rng):
+    # an adapter-only term is presented without rewriting
     walk = random_adapter_walk(catw_sig, (W, W, W), 8, rng)
-    assert normalize_adapters(CompD(walk, invert_d(walk)), catw_sig,
-                              max_steps=0) == IdD((W, W, W))
+    assert normalize_adapters(CompD(walk, invert_d(walk)), catw_sig) == \
+        IdD((W, W, W))
     k = canonical_d((Tensor(W, Tensor(UNIT, W)),),
                     (Tensor(Tensor(W, UNIT), W),))
-    out, stats = normalize_adapters_with_stats(k, catw_sig, max_steps=0)
+    out, stats = normalize_adapters_with_stats(k, catw_sig)
     assert (out, stats.cancelled_pairs, stats.swaps, stats.trace) == \
         (k, 0, 0, ["adapter-only: canonical presentation"])
 
